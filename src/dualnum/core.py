@@ -16,13 +16,23 @@ The whole chain rule lives in :func:`compose`:
 
     compose({f, f', f''} at g0, {g0, g1, g2}) = {f, f'*g1, f''*g1**2 + f'*g2}
 
-Every elemental lift and every dualized algorithm funnels through it.
+Every dualized algorithm funnels through it, and every elemental lift
+evaluates the same expression inline.
+
+Operations build their results through one unchecked internal
+constructor, and the NaN check runs there, once on each result rather
+than on each operand.  Under IEEE arithmetic a NaN operand always gives
+a NaN result, so an operation that receives or produces a NaN component
+raises :class:`~dualnum.errors.DomainError`.  The operands whose NaN
+need not reach the result, ``g.f0`` in :func:`compose` and
+:func:`lift_elemental` and the base of ``x ** 0``, are checked
+explicitly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Union
 
 from .errors import DomainError, ValidationError
@@ -32,88 +42,143 @@ Number = Union[int, float]
 _MAX_INT_EXPONENT = 10 ** 6
 
 
-def _as_dual(value) -> "Dual3":
-    if isinstance(value, Dual3):
-        return value
+def _scalar(value) -> float:
     if isinstance(value, (int, float)):
-        return Dual3(float(value))
+        return float(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as Dual3")
 
 
+def _as_dual(value) -> "Dual3":
+    if isinstance(value, Dual3):
+        return value
+    return _mk(_scalar(value), 0.0, 0.0)
+
+
 def _reject_nan(*operands: "Dual3") -> None:
-    # NaN is trapped at the first operation that sees it so solver
-    # divergence is reported at its source, not somewhere downstream.
     for d in operands:
-        if math.isnan(d.f0) or math.isnan(d.f1) or math.isnan(d.f2):
+        if d.f0 != d.f0 or d.f1 != d.f1 or d.f2 != d.f2:
             raise DomainError(f"NaN component in dual operand {d!r}")
 
 
-@dataclass(frozen=True, slots=True)
+def _zero_division(*operands: "Dual3"):
+    # a NaN operand is reported as such, even with a zero denominator
+    _reject_nan(*operands)
+    raise ZeroDivisionError(
+        "dual division by zero: denominator real part is 0.0"
+    )
+
+
 class Dual3:
     """A value with its first and second derivative: ``{f, f', f''}``.
 
     Instances are immutable and all operations are pure, so values may be
-    shared and used from any number of threads.
+    shared and used from any number of threads.  An ``int`` or ``float``
+    operand acts as the constant ``{c, 0, 0}``, bit for bit.
     """
 
-    f0: float
-    f1: float = 0.0
-    f2: float = 0.0
+    __slots__ = ("f0", "f1", "f2")
+    __match_args__ = ("f0", "f1", "f2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "f0", float(self.f0))
-        object.__setattr__(self, "f1", float(self.f1))
-        object.__setattr__(self, "f2", float(self.f2))
+    f0: float
+    f1: float
+    f2: float
+
+    def __init__(self, f0: Number, f1: Number = 0.0, f2: Number = 0.0):
+        _set_f0(self, float(f0))
+        _set_f1(self, float(f1))
+        _set_f2(self, float(f2))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.f0, self.f1, self.f2) == (other.f0, other.f1, other.f2)
+
+    def __hash__(self):
+        return hash((self.f0, self.f1, self.f2))
+
+    def __reduce__(self):
+        return (Dual3, (self.f0, self.f1, self.f2))
+
+    def __repr__(self) -> str:
+        return f"Dual3({self.f0!r}, {self.f1!r}, {self.f2!r})"
 
     # -- arithmetic ----------------------------------------------------
+    # A scalar c takes the place of {c, 0, 0} in the same expressions, so
+    # signed zeros and inf * 0 come out as they would for a wrapped Dual3.
     def __add__(self, other) -> "Dual3":
-        o = _as_dual(other)
-        _reject_nan(self, o)
-        return Dual3(self.f0 + o.f0, self.f1 + o.f1, self.f2 + o.f2)
+        if isinstance(other, Dual3):
+            return _mk(self.f0 + other.f0, self.f1 + other.f1,
+                       self.f2 + other.f2)
+        c = _scalar(other)
+        return _mk(self.f0 + c, self.f1 + 0.0, self.f2 + 0.0)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Dual3":
-        o = _as_dual(other)
-        _reject_nan(self, o)
-        return Dual3(self.f0 - o.f0, self.f1 - o.f1, self.f2 - o.f2)
+        if isinstance(other, Dual3):
+            return _mk(self.f0 - other.f0, self.f1 - other.f1,
+                       self.f2 - other.f2)
+        c = _scalar(other)
+        return _mk(self.f0 - c, self.f1 - 0.0, self.f2 - 0.0)
 
     def __rsub__(self, other) -> "Dual3":
-        return _as_dual(other).__sub__(self)
+        c = _scalar(other)
+        return _mk(c - self.f0, 0.0 - self.f1, 0.0 - self.f2)
 
     def __mul__(self, other) -> "Dual3":
-        o = _as_dual(other)
-        _reject_nan(self, o)
-        return Dual3(
-            self.f0 * o.f0,
-            self.f1 * o.f0 + self.f0 * o.f1,
-            self.f2 * o.f0 + 2.0 * self.f1 * o.f1 + self.f0 * o.f2,
-        )
+        a0, a1, a2 = self.f0, self.f1, self.f2
+        if isinstance(other, Dual3):
+            b0, b1, b2 = other.f0, other.f1, other.f2
+            return _mk(a0 * b0, a1 * b0 + a0 * b1,
+                       a2 * b0 + 2.0 * a1 * b1 + a0 * b2)
+        c = _scalar(other)
+        return _mk(a0 * c, a1 * c + a0 * 0.0,
+                   a2 * c + 2.0 * a1 * 0.0 + a0 * 0.0)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Dual3":
-        o = _as_dual(other)
-        _reject_nan(self, o)
-        if o.f0 == 0.0:
-            raise ZeroDivisionError(
-                "dual division by zero: denominator real part is 0.0"
-            )
-        q0 = self.f0 / o.f0
-        q1 = (self.f1 - q0 * o.f1) / o.f0
-        q2 = (self.f2 - 2.0 * q1 * o.f1 - q0 * o.f2) / o.f0
-        return Dual3(q0, q1, q2)
+        if isinstance(other, Dual3):
+            b0, b1, b2 = other.f0, other.f1, other.f2
+            if b0 == 0.0:
+                _zero_division(self, other)
+            q0 = self.f0 / b0
+            q1 = (self.f1 - q0 * b1) / b0
+            return _mk(q0, q1, (self.f2 - 2.0 * q1 * b1 - q0 * b2) / b0)
+        c = _scalar(other)
+        if c == 0.0:
+            _zero_division(self)
+        q0 = self.f0 / c
+        q1 = (self.f1 - q0 * 0.0) / c
+        return _mk(q0, q1, (self.f2 - 2.0 * q1 * 0.0 - q0 * 0.0) / c)
 
     def __rtruediv__(self, other) -> "Dual3":
-        return _as_dual(other).__truediv__(self)
+        c = _scalar(other)
+        b0, b1 = self.f0, self.f1
+        if b0 == 0.0:
+            _zero_division(Dual3(c), self)
+        q0 = c / b0
+        q1 = (0.0 - q0 * b1) / b0
+        return _mk(q0, q1, (0.0 - 2.0 * q1 * b1 - q0 * self.f2) / b0)
 
     def __neg__(self) -> "Dual3":
-        return lift_elemental("neg", self)
+        # the "neg" elemental's compose expression with its jet
+        # {-g0, -1, 0} folded in: f2 is 0*g1*g1 - g2, which is +0.0, not
+        # -0.0, when g2 is zero
+        g1 = self.f1
+        return _mk(-self.f0, -g1, 0.0 * g1 * g1 - self.f2)
 
     def __abs__(self) -> "Dual3":
         return lift_elemental("abs", self)
 
     def __pow__(self, exponent) -> "Dual3":
+        # checked up front: x ** 0 returns a constant whatever x holds
         p = _as_dual(exponent)
         _reject_nan(self, p)
         if p.f1 == 0.0 and p.f2 == 0.0 and p.f0.is_integer():
@@ -133,30 +198,55 @@ class Dual3:
         if k == 0:
             if self.f0 == 0.0:
                 raise DomainError("0**0 is undefined")
-            return Dual3(1.0)
+            return _mk(1.0, 0.0, 0.0)
         if k < 0:
-            return Dual3(1.0) / self._int_power(-k)
+            return _mk(1.0, 0.0, 0.0) / self._int_power(-k)
+        # left-to-right binary powering: square per bit of k below the
+        # leading one, then multiply by self where that bit is set; for
+        # k <= 3 these are the products of repeated ``out * self``
         out = self
-        for _ in range(k - 1):
-            out = out * self
+        for bit in bin(k)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
-    def __repr__(self) -> str:
-        return f"Dual3({self.f0!r}, {self.f1!r}, {self.f2!r})"
+
+_new = object.__new__
+_set_f0 = Dual3.f0.__set__
+_set_f1 = Dual3.f1.__set__
+_set_f2 = Dual3.f2.__set__
+
+
+def _mk(r0: float, r1: float, r2: float) -> Dual3:
+    """Unchecked constructor for float components: the internal route.
+
+    NaN is trapped here, on every result, so solver divergence is
+    reported at the operation that first sees or makes a NaN.
+    """
+    if r0 != r0 or r1 != r1 or r2 != r2:
+        raise DomainError(
+            f"NaN component in dual result Dual3({r0!r}, {r1!r}, {r2!r})"
+        )
+    d = _new(Dual3)
+    _set_f0(d, r0)
+    _set_f1(d, r1)
+    _set_f2(d, r2)
+    return d
 
 
 def variable(x: Number) -> Dual3:
     """Seed ``x`` as the differentiation variable: ``{x, 1, 0}``."""
     if not math.isfinite(x):
         raise ValidationError(f"variable seed must be finite, got {x}")
-    return Dual3(float(x), 1.0, 0.0)
+    return _mk(float(x), 1.0, 0.0)
 
 
 def constant(c: Number) -> Dual3:
     """Embed a constant: ``{c, 0, 0}``.  Derivatives stay zero forever."""
     if not math.isfinite(c):
         raise ValidationError(f"constant must be finite, got {c}")
-    return Dual3(float(c))
+    return _mk(float(c), 0.0, 0.0)
 
 
 def compose(f_jet_at_g0: Dual3, g: Dual3) -> Dual3:
@@ -166,11 +256,14 @@ def compose(f_jet_at_g0: Dual3, g: Dual3) -> Dual3:
     ``g0 == g.f0`` (the caller guarantees the evaluation point).  Returns
     the jet of ``f(g(.))`` with respect to the seed carried by ``g``.
     """
-    _reject_nan(f_jet_at_g0, g)
-    return Dual3(
+    # g.f0 does not reach the result, so its NaN is checked here
+    if g.f0 != g.f0:
+        raise DomainError(f"NaN component in dual operand {g!r}")
+    g1 = g.f1
+    return _mk(
         f_jet_at_g0.f0,
-        f_jet_at_g0.f1 * g.f1,
-        f_jet_at_g0.f2 * g.f1 * g.f1 + f_jet_at_g0.f1 * g.f2,
+        f_jet_at_g0.f1 * g1,
+        f_jet_at_g0.f2 * g1 * g1 + f_jet_at_g0.f1 * g.f2,
     )
 
 
@@ -200,7 +293,8 @@ def _sec2(x: float) -> float:
     return 1.0 / (c * c)
 
 
-# name -> (value, first derivative, second derivative, domain check)
+# name -> (value, first derivative, second derivative, domain check); the
+# three derivative functions take and return floats
 ELEMENTALS: dict = {
     "sin": (math.sin, math.cos, lambda x: -math.sin(x), None),
     "cos": (math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x), None),
@@ -218,19 +312,23 @@ ELEMENTALS: dict = {
 
 
 def lift_elemental(name: str, g: Dual3) -> Dual3:
-    """Apply the named elemental to a dual argument via :func:`compose`."""
+    """Apply the named elemental to a dual argument by :func:`compose`'s rule."""
     try:
         value, first, second, check = ELEMENTALS[name]
     except KeyError:
         raise ValidationError(f"unknown elemental {name!r}") from None
-    _reject_nan(g)
+    x = g.f0
+    if x != x:
+        raise DomainError(f"NaN component in dual operand {g!r}")
     if check is not None:
-        check(g.f0)
+        check(x)
     try:
-        jet = Dual3(value(g.f0), first(g.f0), second(g.f0))
+        j0, j1, j2 = value(x), first(x), second(x)
     except (OverflowError, ValueError) as exc:
-        raise DomainError(f"{name} failed at real part {g.f0}: {exc}") from None
-    return compose(jet, g)
+        raise DomainError(f"{name} failed at real part {x}: {exc}") from None
+    # compose({j0, j1, j2}, g), inline
+    g1 = g.f1
+    return _mk(j0, j1 * g1, j2 * g1 * g1 + j1 * g.f2)
 
 
 def sin(g: Dual3) -> Dual3:

@@ -137,7 +137,8 @@ def usmani_inverse(m: Tridiagonal) -> np.ndarray:
         phi[n] = a[n - 1]
         for i in range(n - 1, 0, -1):
             phi[i] = a[i - 1] * phi[i + 1] - b[i - 1] * c[i - 1] * phi[i + 2]
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
+    # phi[0] is never written: phi runs from index 1
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi[1:]))):
         raise NumericalError("theta/phi recurrences overflowed")
     if theta[n] == 0.0:
         raise SingularMatrixError("matrix is singular (theta_n = 0)")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +105,26 @@ class TestJsonOutput:
         _, payload, _ = run_json(capsys, "nr-example1")
         u = payload["results"][0]["value"]
         assert abs(u - 1.3085322276188784) < 1e-12
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+class TestGoldenJson:
+    """``--json`` stdout of each fixture command, pinned byte for byte."""
+
+    @pytest.mark.parametrize("golden,argv", [
+        ("nr-example1", ["nr-example1"]),
+        ("mechanism", ["mechanism"]),
+        ("mechanism-identity", ["mechanism", "--fn", "identity"]),
+        ("spline", ["spline"]),
+        ("diffusivity", ["diffusivity"]),
+        ("duffing", ["duffing"]),
+    ])
+    def test_matches_golden(self, capsys, golden, argv):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"{golden}.json").read_bytes()
 
 
 class TestHumanOutput:

@@ -1,4 +1,6 @@
 import math
+import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -107,6 +109,144 @@ class TestArithmetic:
             sin(Dual3(float("nan"), 0.0, 0.0))
 
 
+def same_float(x: float, y: float) -> bool:
+    """Equal including the sign of zero (results are never NaN)."""
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def same_dual(a: Dual3, b: Dual3) -> bool:
+    return all(same_float(x, y)
+               for x, y in zip((a.f0, a.f1, a.f2), (b.f0, b.f1, b.f2)))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def same_outcome(got, want) -> bool:
+    if isinstance(got, Dual3) and isinstance(want, Dual3):
+        return same_dual(got, want)
+    return got == want
+
+
+inf = float("inf")
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, inf, -inf, 1.0, -1.0]),
+    st.floats(allow_nan=False, allow_infinity=True),
+)
+scalars = st.one_of(edge_floats, st.integers(min_value=-10 ** 6,
+                                             max_value=10 ** 6))
+OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+# c op d evaluated with c wrapped: + and * keep the Dual3 on the left
+# (__radd__ and __rmul__ are __add__ and __mul__), - and / put Dual3(c)
+# there; Dual3 * is not bitwise commutative (2 * a1 * 0.0 can be inf * 0)
+WRAPPED_REFLECTED = {
+    operator.add: lambda c, d: d + Dual3(c),
+    operator.sub: lambda c, d: Dual3(c) - d,
+    operator.mul: lambda c, d: d * Dual3(c),
+    operator.truediv: lambda c, d: Dual3(c) / d,
+}
+
+
+class TestScalarOperands:
+    @given(st.builds(Dual3, edge_floats, edge_floats, edge_floats),
+           scalars, st.sampled_from(OPS))
+    @settings(max_examples=400)
+    def test_scalar_matches_wrapped_constant(self, d, c, op):
+        assert same_outcome(outcome(op, d, c), outcome(op, d, Dual3(c)))
+        assert same_outcome(outcome(op, c, d),
+                            outcome(WRAPPED_REFLECTED[op], c, d))
+
+    def test_signed_zero_is_kept(self):
+        d = Dual3(1.0, -0.0, -0.0)
+        assert math.copysign(1.0, (d + 0.0).f1) == 1.0
+        assert math.copysign(1.0, (d - 0.0).f1) == -1.0
+        assert math.copysign(1.0, (0.0 - d).f1) == 1.0
+        assert math.copysign(1.0, (d * 1.0).f1) == 1.0
+
+    def test_numpy_scalar_is_coerced(self):
+        d = variable(2.0) * np.float64(3.0)
+        assert type(d.f0) is float and type(d.f1) is float
+        assert d == variable(2.0) * 3.0
+
+    def test_non_number_rejected(self):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            variable(1.0) + "1"
+        with pytest.raises(TypeError, match="cannot interpret"):
+            "1" * variable(1.0)
+
+
+class TestNanTrap:
+    def test_nan_produced_from_non_nan_operands(self):
+        with pytest.raises(DomainError, match="NaN"):
+            Dual3(inf) - Dual3(inf)
+        with pytest.raises(DomainError, match="NaN"):
+            Dual3(1.0, inf, 0.0) * 0.0
+
+    def test_nan_scalar_operand(self):
+        with pytest.raises(DomainError, match="NaN"):
+            variable(1.0) + float("nan")
+
+    def test_zero_power_of_nan_base(self):
+        with pytest.raises(DomainError, match="NaN"):
+            Dual3(1.0, float("nan"), 0.0) ** 0
+
+    def test_compose_checks_argument_value(self):
+        with pytest.raises(DomainError, match="NaN"):
+            compose(Dual3(0.5, 1.5, -2.0), Dual3(float("nan"), 1.0, 0.0))
+
+    def test_lift_checks_argument_value(self, monkeypatch):
+        # an elemental whose value ignores its argument drops the NaN
+        monkeypatch.setitem(ELEMENTALS, "one", (lambda x: 1.0, lambda x: 0.0,
+                                                lambda x: 0.0, None))
+        with pytest.raises(DomainError, match="NaN"):
+            lift_elemental("one", Dual3(float("nan"), 1.0, 0.0))
+
+    def test_nan_divisor_is_reported_before_zero_division(self):
+        with pytest.raises(DomainError, match="NaN"):
+            variable(1.0) / Dual3(0.0, float("nan"), 0.0)
+        with pytest.raises(DomainError, match="NaN"):
+            1.0 / Dual3(0.0, float("nan"), 0.0)
+
+    def test_neg_matches_registry_route(self):
+        for d in (Dual3(1.0, 2.0, 0.0), Dual3(-0.0, -0.0, -0.0),
+                  Dual3(3.0, -1.5, 2.5)):
+            assert same_dual(-d, lift_elemental("neg", d))
+
+
+class TestValueSemantics:
+    def test_immutable(self):
+        d = Dual3(1.0, 2.0, 3.0)
+        with pytest.raises(AttributeError):
+            d.f0 = 1
+        with pytest.raises(AttributeError):
+            del d.f1
+        with pytest.raises(AttributeError):
+            d.extra = 1
+
+    def test_constructor_coerces(self):
+        d = Dual3(1, 2, 3)
+        assert all(type(x) is float for x in (d.f0, d.f1, d.f2))
+        assert Dual3(1) == Dual3(f0=1.0, f1=0.0, f2=0.0)
+
+    def test_eq_and_hash(self):
+        assert Dual3(1, 2, 3) == Dual3(1.0, 2.0, 3.0)
+        assert hash(Dual3(1, 2, 3)) == hash(Dual3(1.0, 2.0, 3.0))
+        assert Dual3(1, 0, 0) != (1.0, 0.0, 0.0)
+        assert Dual3(1, 2, 3) != Dual3(1, 2, 4)
+
+    def test_repr(self):
+        assert repr(Dual3(1, -0.5, 2e-300)) == "Dual3(1.0, -0.5, 2e-300)"
+
+    def test_pickle_round_trip(self):
+        d = Dual3(1.25, -0.0, 3.5)
+        back = pickle.loads(pickle.dumps(d))
+        assert back == d and type(back) is Dual3
+
+
 class TestElementals:
     def test_sin_at_zero(self):
         assert_close(sin(Dual3(0, 1, 0)), (0, 1, 0), tol=0)
@@ -195,6 +335,30 @@ class TestPow:
     def test_negative_base_fractional_exponent_rejected(self):
         with pytest.raises(DomainError):
             variable(-2.0) ** 0.5
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_small_powers_are_repeated_products(self, k):
+        for d in (variable(1.1), Dual3(-0.7, 0.3, -2.0), Dual3(3.0, -0.0)):
+            want = d
+            for _ in range(k - 1):
+                want = want * d
+            assert same_dual(d ** k, want)
+
+    @given(st.one_of(st.floats(min_value=0.5, max_value=2.0),
+                     st.floats(min_value=-2.0, max_value=-0.5)),
+           st.integers(min_value=1, max_value=64))
+    def test_integer_power_closed_form(self, x, k):
+        got = variable(x) ** k
+        want = (x ** k, k * x ** (k - 1), k * (k - 1) * x ** (k - 2))
+        for g, w in zip((got.f0, got.f1, got.f2), want):
+            assert abs(g - w) <= 1e-13 * abs(w)
+
+    def test_large_integer_power_closed_form(self):
+        x, k = 1.000001, 200000
+        got = variable(x) ** k
+        want = (x ** k, k * x ** (k - 1), k * (k - 1) * x ** (k - 2))
+        for g, w in zip((got.f0, got.f1, got.f2), want):
+            assert abs(g - w) <= 1e-10 * abs(w)  # about k * eps
 
     def test_rpow(self):
         r = 2.0 ** variable(3.0)

@@ -9,7 +9,9 @@ from dualnum import (
     ValidationError,
     variable,
 )
+from dualnum import reference
 from dualnum.reference import (
+    MAX_USMANI_SIZE,
     Tridiagonal,
     central_diff,
     jordan_poly_derivs,
@@ -119,6 +121,22 @@ class TestUsmaniInverse:
                           np.array([1.0]))
         with pytest.raises(SingularMatrixError):
             usmani_inverse(tri)
+
+    def test_every_size_ignores_uninitialised_scratch(self, monkeypatch):
+        # scratch arrays start as NaN, so a read of an unwritten slot
+        # fails on every run, whatever the allocator hands back
+        rng = np.random.RandomState(29)
+        for n in range(1, MAX_USMANI_SIZE + 1):
+            tri = Tridiagonal(4.0 + rng.uniform(0.0, 1.0, n),
+                              rng.uniform(-1.0, 1.0, n - 1),
+                              rng.uniform(-1.0, 1.0, n - 1))
+            want = np.linalg.inv(tri.dense())
+            with monkeypatch.context() as m:
+                m.setattr(reference.np, "empty",
+                          lambda shape: np.full(shape, np.nan))
+                got = usmani_inverse(tri)
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)) <= 1e-12, n
 
     def test_size_cap(self):
         tri = Tridiagonal(np.ones(201), np.zeros(200), np.zeros(200))
