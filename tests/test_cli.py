@@ -107,7 +107,8 @@ class TestJsonOutput:
         assert abs(u - 1.3085322276188784) < 1e-12
 
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
 
 
 class TestGoldenJson:
@@ -125,6 +126,36 @@ class TestGoldenJson:
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0
         assert out.encode() == (GOLDEN / f"{golden}.json").read_bytes()
+
+    # Fixture commands under --check, flag variants (a failed check exits
+    # 2 and is pinned too) and one human-readable table.
+    @pytest.mark.parametrize("golden,argv,want_code", [
+        ("nr-example1.check.json", ["nr-example1", "--json"], 0),
+        ("mechanism.check.json", ["mechanism", "--json"], 0),
+        ("mechanism-identity.check.json",
+         ["mechanism", "--fn", "identity", "--json"], 0),
+        ("spline.check.json", ["spline", "--json"], 0),
+        ("diffusivity.check.json", ["diffusivity", "--json"], 0),
+        ("duffing.check.json", ["duffing", "--json"], 0),
+        ("spline-at-2.25.check.json", ["spline", "--at", "2.25", "--json"], 2),
+        ("spline-csv-at-2.0.check.json",
+         ["spline", "--csv", str(DATA / "quad.csv"), "--at", "2.0", "--json"],
+         2),
+        ("mechanism-x0-1.5.check.json",
+         ["mechanism", "--x0", "1.5", "--json"], 2),
+        ("duffing-t-2.0.check.json", ["duffing", "--t", "2.0", "--json"], 2),
+        ("diffusivity-thickness-0.001.check.json",
+         ["diffusivity", "--thickness", "0.001", "--json"], 2),
+        ("diffusivity-csv.check.json",
+         ["diffusivity", "--csv", str(DATA / "bump.csv"), "--json"], 0),
+        ("duffing-precision-7.check.txt",
+         ["duffing", "--precision", "7"], 0),
+    ])
+    def test_checked_run_matches_golden(self, capsys, golden, argv,
+                                        want_code):
+        code, out, err = run(capsys, *argv, "--check")
+        assert (code, err) == (want_code, "")
+        assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 class TestHumanOutput:
