@@ -6,7 +6,8 @@ expression as usual, and read both derivatives off the result.
 
 import math
 
-from dualnum import Dual3, TaylorJet, compose, constant, exp, log, sin, sqrt, variable
+from dualnum import Dual3, compose, constant, exp, log, sin, sqrt, variable
+from dualnum.reference import TaylorJet
 
 x = variable(0.7)
 print("seeded variable      ", x)
@@ -36,8 +37,9 @@ cube_jet_at_2 = Dual3(8.0, 12.0, 12.0)
 print("compose(cube, g)     ", compose(cube_jet_at_2, g))
 print("g*g*g                ", g * g * g)
 
-# Taylor jets generalize the idea to higher order; coefficients are
-# f^(k)/k!, and multiplication is truncated convolution
+# Taylor jets (a verification oracle) generalize the idea to higher
+# order; coefficients are f^(k)/k!, and multiplication is truncated
+# convolution
 base = TaylorJet((1.0, 1.0, 0.0, 0.0, 0.0))  # 1 + t, order 4
 power = base
 for _ in range(4):

@@ -48,7 +48,7 @@ print("T^-1[3,5] recurrences  ", usmani_inverse(tri)[2, 4])
 # derivative with Newton on the dual components, convert to diffusivity
 curve = build_spline(radiometry_fixture())
 start = float(curve.data.x[len(curve.data) // 2])
-peak = find_derivative_root(curve, start, iters=50)
+peak = find_derivative_root(curve, start)
 alpha = diffusivity(SAMPLE_THICKNESS, peak)
 print("recovered peak (Hz)    ", peak)
 print("designed peak (Hz)     ", radiometry_peak_frequency())

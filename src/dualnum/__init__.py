@@ -13,19 +13,17 @@ that have no closed form:
   composes with arbitrary dual expressions.
 
 :mod:`dualnum.reference` holds independent oracles (finite differences,
-Jordan-block polynomial derivatives, the general tridiagonal inverse)
-used to cross-check everything else.
+Jordan-block polynomial derivatives, truncated Taylor jets, the general
+tridiagonal inverse) used to cross-check everything else.
 """
 
 from .core import (
     Dual3,
     ELEMENTALS,
-    TaylorJet,
     compose,
     constant,
     cos,
     exp,
-    jet_mul,
     lift_elemental,
     log,
     sin,
@@ -47,14 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .ode import OdeProblem, duffing_problem, rk4, rk4dual
-from .rootfind import (
-    MechanismParams,
-    RootConfig,
-    find_root,
-    halley_dual,
-    mechanism_phi,
-    nr_dual,
-)
+from .rootfind import MechanismParams, RootConfig, find_root
 from .spline import (
     SplineData,
     SplineModel,
@@ -69,13 +60,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dual3",
-    "TaylorJet",
     "ELEMENTALS",
     "variable",
     "constant",
     "compose",
     "lift_elemental",
-    "jet_mul",
     "sin",
     "cos",
     "tan",
@@ -84,10 +73,7 @@ __all__ = [
     "sqrt",
     "RootConfig",
     "MechanismParams",
-    "nr_dual",
-    "halley_dual",
     "find_root",
-    "mechanism_phi",
     "SplineData",
     "SplineModel",
     "build_spline",

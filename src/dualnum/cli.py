@@ -3,7 +3,9 @@
 Subcommands ``nr-example1``, ``mechanism``, ``spline``, ``diffusivity``
 and ``duffing`` each evaluate one of the packaged fixtures (or, where a
 ``--csv`` flag exists, user data) and emit rows of
-value / first derivative / second derivative.
+value / first derivative / second derivative.  One table,
+:data:`PROBLEMS`, gives each subcommand its options, the function that
+computes its rows and the reference values ``--check`` compares against.
 
 Shared flags: ``--json`` for machine-readable output, ``--check`` to
 compare against the embedded reference values, ``--precision`` for the
@@ -16,8 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from . import fixtures
 from .core import Dual3, constant, sin, variable
 from .errors import NumericalError, ValidationError
 from .ode import duffing_problem, rk4dual
-from .rootfind import RootConfig, mechanism_phi, nr_dual
+from .rootfind import RootConfig, find_root
 from .spline import (
     SplineData,
     build_spline,
@@ -34,77 +35,13 @@ from .spline import (
     find_derivative_root,
 )
 
+# Labelled output rows, in display order.
+Rows = List[Tuple[str, Dual3]]
+# label -> (wanted components, atol, rtol); a row passes a component when
+# |got - want| <= atol + rtol * |want|.
+Wanted = Dict[str, Tuple[Tuple[float, ...], float, float]]
 
-@dataclass(frozen=True)
-class ResultRecord:
-    """One output row: a labelled value with its two derivatives."""
-
-    label: str
-    value: float
-    first: float
-    second: float
-    provenance: str
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "value": self.value,
-            "first": self.first,
-            "second": self.second,
-            "provenance": self.provenance,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ResultRecord":
-        return cls(
-            label=payload["label"],
-            value=payload["value"],
-            first=payload["first"],
-            second=payload["second"],
-            provenance=payload["provenance"],
-        )
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    label: str
-    field: str
-    expected: float
-    actual: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "field": self.field,
-            "expected": self.expected,
-            "actual": self.actual,
-            "pass": self.passed,
-        }
-
-
-def _record(label: str, d: Dual3, provenance: str) -> ResultRecord:
-    return ResultRecord(label, d.f0, d.f1, d.f2, provenance)
-
-
-def _check_rows(records: Sequence[ResultRecord], expected: dict,
-                tol: float = fixtures.CHECK_ABS_TOL) -> List[CheckResult]:
-    fields = ("value", "first", "second")
-    out = []
-    by_label = {r.label: r for r in records}
-    for label, triple in expected.items():
-        rec = by_label[label]
-        for field_name, want in zip(fields, triple):
-            got = getattr(rec, field_name)
-            out.append(CheckResult(label, field_name, want, got,
-                                   abs(got - want) <= tol))
-    return out
-
-
-def _relative_check(label: str, want: float, got: float,
-                    rtol: float) -> CheckResult:
-    return CheckResult(label, "value", want, got,
-                       abs(got - want) <= rtol * abs(want))
+_FIELDS = ("value", "first", "second")
 
 
 # -- CSV ingestion -------------------------------------------------------
@@ -148,66 +85,40 @@ def read_xy_csv(path: str) -> SplineData:
                       np.array([r[2] for r in rows]))
 
 
-# -- subcommands ---------------------------------------------------------
+# -- problems ------------------------------------------------------------
 
-def _cmd_nr_example1(args) -> Tuple[List[ResultRecord], List[CheckResult]]:
+def _nr_example1(args) -> Rows:
     cfg = RootConfig(u0=fixtures.NR_EXAMPLE1_U0,
                      max_iters=fixtures.NR_EXAMPLE1_ITERS, tol=0.0)
-    equation = fixtures.nr_example1_equation
+    F = fixtures.nr_example1_equation
     xd = variable(fixtures.NR_EXAMPLE1_X0)
-    u = nr_dual(cfg, equation, xd)
-    g1 = sin(u) + xd
-    g2 = nr_dual(cfg, equation, sin(xd) + xd * xd)
-    prov = "nr-example1"
-    records = [_record("u", u, prov), _record("g1", g1, prov),
-               _record("g2", g2, prov)]
-    checks = _check_rows(records, fixtures.NR_EXAMPLE1_EXPECTED) \
-        if args.check else []
-    return records, checks
+    u = find_root(cfg, F, xd)
+    return [("u", u), ("g1", sin(u) + xd),
+            ("g2", find_root(cfg, F, sin(xd) + xd * xd))]
 
 
-def _cmd_mechanism(args) -> Tuple[List[ResultRecord], List[CheckResult]]:
-    params = fixtures.MECHANISM_PARAMS
+def _mechanism(args) -> Rows:
+    F = fixtures.MECHANISM_PARAMS.loop_closure
     cfg = RootConfig(u0=fixtures.MECHANISM_PHI0, max_iters=100, tol=0.0)
     xd = variable(args.x0)
-    prov = "mechanism"
+    phi = find_root(cfg, F, xd)
     if args.fn == "identity":
-        phi = mechanism_phi(params, xd, cfg)
-        residual = params.loop_closure(constant(phi.f0),
-                                       constant(args.x0)).f0
-        records = [_record("phi(x0)", phi, prov),
-                   ResultRecord("residual", residual, 0.0, 0.0, prov)]
-        checks = []
-        if args.check:
-            checks = [CheckResult("residual", "value", 0.0, residual,
-                                  abs(residual) <= 1e-9)]
-        return records, checks
-    phi = mechanism_phi(params, xd, cfg)
-    f_of_phi = 2.0 * sin(phi) * sin(phi)
-    phi_of_f = mechanism_phi(params, 2.0 * sin(xd) * sin(xd), cfg)
-    records = [_record("f(phi(x0))", f_of_phi, prov),
-               _record("phi(f(x0))", phi_of_f, prov)]
-    checks = _check_rows(records, fixtures.MECHANISM_EXPECTED) \
-        if args.check else []
-    return records, checks
+        residual = F(constant(phi.f0), constant(args.x0)).f0
+        return [("phi(x0)", phi), ("residual", Dual3(residual))]
+    return [("f(phi(x0))", 2.0 * sin(phi) * sin(phi)),
+            ("phi(f(x0))", find_root(cfg, F, 2.0 * sin(xd) * sin(xd)))]
 
 
-def _cmd_spline(args) -> Tuple[List[ResultRecord], List[CheckResult]]:
+def _spline(args) -> Rows:
     data = read_xy_csv(args.csv) if args.csv else fixtures.ln_sample_data()
     model = build_spline(data)
     xd = variable(args.at)
     y = eval_dual(model, xd)
-    f = xd * sin(y) * sin(y)
-    g = eval_dual(model, xd * sin(xd) * sin(xd))
-    prov = "spline" if args.csv else "spline-builtin"
-    records = [_record("y", y, prov), _record("f", f, prov),
-               _record("g", g, prov)]
-    checks = _check_rows(records, fixtures.SPLINE_EXPECTED) \
-        if args.check else []
-    return records, checks
+    return [("y", y), ("f", xd * sin(y) * sin(y)),
+            ("g", eval_dual(model, xd * sin(xd) * sin(xd)))]
 
 
-def _cmd_diffusivity(args) -> Tuple[List[ResultRecord], List[CheckResult]]:
+def _diffusivity(args) -> Rows:
     data = read_xy_csv(args.csv) if args.csv else fixtures.radiometry_fixture()
     model = build_spline(data)
     lo, hi = float(data.x[0]), float(data.x[-1])
@@ -220,62 +131,131 @@ def _cmd_diffusivity(args) -> Tuple[List[ResultRecord], List[CheckResult]]:
             start = float(data.x[int(np.argmax(data.y[1:-1])) + 1])
         else:
             start = 0.5 * (lo + hi)
-    peak = find_derivative_root(model, start,
-                                iters=fixtures.DIFFUSIVITY_ITERS)
+    peak = find_derivative_root(model, start)
     alpha = diffusivity(args.thickness, peak)
     at_peak = eval_dual(model, variable(peak))
-    prov = "diffusivity" if args.csv else "diffusivity-builtin"
-    records = [
-        ResultRecord("f1", peak, at_peak.f1, at_peak.f2, prov),
-        ResultRecord("alpha_s", alpha, 0.0, 0.0, prov),
-    ]
-    checks = []
-    if args.check:
-        checks = [
-            _relative_check("f1", fixtures.radiometry_peak_frequency(),
-                            peak, fixtures.DIFFUSIVITY_RTOL),
-            _relative_check("alpha_s", fixtures.TARGET_DIFFUSIVITY,
-                            alpha, fixtures.DIFFUSIVITY_RTOL),
-        ]
-    return records, checks
+    return [("f1", Dual3(peak, at_peak.f1, at_peak.f2)),
+            ("alpha_s", Dual3(alpha))]
 
 
-def _cmd_duffing(args) -> Tuple[List[ResultRecord], List[CheckResult]]:
+def _duffing(args) -> Rows:
     problem = duffing_problem(fixtures.DUFFING_STEPS)
     td = variable(args.t)
     f = rk4dual(problem, td)
-    f_of_g = rk4dual(problem, sin(td))
-    g_of_f = sin(rk4dual(problem, td))
-    prov = "duffing"
-    records = [_record("f(t)", f, prov), _record("f(g(t))", f_of_g, prov),
-               _record("g(f(t))", g_of_f, prov)]
-    checks = _check_rows(records, fixtures.DUFFING_EXPECTED) \
-        if args.check else []
-    return records, checks
+    return [("f(t)", f), ("f(g(t))", rk4dual(problem, sin(td))),
+            ("g(f(t))", sin(f))]
 
 
-# -- output --------------------------------------------------------------
+def _within(expected: dict, atol: float, rtol: float = 0.0) -> Wanted:
+    return {label: (want, atol, rtol) for label, want in expected.items()}
 
-def _emit(records: List[ResultRecord], checks: List[CheckResult],
-          args) -> None:
+
+class Problem(NamedTuple):
+    """One subcommand: help line, argparse options, rows, ``--check`` refs."""
+
+    help: str
+    options: Tuple[Tuple[str, dict], ...]
+    run: Callable[[argparse.Namespace], Rows]
+    wanted: Wanted
+
+
+_ABS = fixtures.CHECK_ABS_TOL
+
+PROBLEMS: Dict[str, Problem] = {
+    "nr-example1": Problem(
+        "implicit-function derivatives for the bundled trigonometric "
+        "equation",
+        (),
+        _nr_example1,
+        _within(fixtures.NR_EXAMPLE1_EXPECTED, _ABS),
+    ),
+    "mechanism": Problem(
+        "RRRCR output-angle derivatives",
+        (("--x0", dict(type=float, default=fixtures.MECHANISM_X0,
+                       help="input angle (default %(default)s)")),
+         ("--fn", dict(choices=("2sin2", "identity"), default="2sin2",
+                       help="composition function: 2 sin^2 x or the "
+                            "identity"))),
+        _mechanism,
+        {**_within(fixtures.MECHANISM_EXPECTED, _ABS),
+         **_within({"residual": (0.0,)}, 1e-9)},
+    ),
+    "spline": Problem(
+        "spline value and composition derivatives",
+        (("--csv", dict(metavar="PATH",
+                        help="two-column (x, y) data; defaults to the "
+                             "bundled log-curve samples")),
+         ("--at", dict(type=float, default=fixtures.SPLINE_AT,
+                       help="evaluation point (default %(default)s)"))),
+        _spline,
+        _within(fixtures.SPLINE_EXPECTED, _ABS),
+    ),
+    "diffusivity": Problem(
+        "thermal diffusivity from an amplitude-vs-frequency curve",
+        (("--csv", dict(metavar="PATH",
+                        help="two-column (frequency, amplitude) data; "
+                             "defaults to the bundled synthetic curve")),
+         ("--thickness", dict(type=float, default=fixtures.SAMPLE_THICKNESS,
+                              help="sample thickness in metres "
+                                   "(default %(default)s)")),
+         ("--x0", dict(type=float, default=fixtures.DIFFUSIVITY_X0,
+                       help="start frequency for the peak search; falls "
+                            "back to the strongest sample when outside the "
+                            "data range (default %(default)s)"))),
+        _diffusivity,
+        _within({"f1": (fixtures.radiometry_peak_frequency(),),
+                 "alpha_s": (fixtures.TARGET_DIFFUSIVITY,)},
+                0.0, fixtures.DIFFUSIVITY_RTOL),
+    ),
+    "duffing": Problem(
+        "derivatives of compositions with the Duffing solution (g = sin)",
+        (("--t", dict(type=float, default=fixtures.DUFFING_T,
+                      help="evaluation time (default %(default)s)")),),
+        _duffing,
+        _within(fixtures.DUFFING_EXPECTED, _ABS),
+    ),
+}
+
+
+# -- checks and output ---------------------------------------------------
+
+def _check(rows: Rows, wanted: Wanted) -> List[dict]:
+    checks = []
+    for label, d in rows:
+        if label not in wanted:
+            continue
+        want, atol, rtol = wanted[label]
+        for field, w, got in zip(_FIELDS, want, (d.f0, d.f1, d.f2)):
+            checks.append({"label": label, "field": field, "expected": w,
+                           "actual": got,
+                           "pass": abs(got - w) <= atol + rtol * abs(w)})
+    return checks
+
+
+def _emit(rows: Rows, checks: List[dict], args) -> None:
     if args.json:
+        builtin = "csv" in vars(args) and not args.csv
+        provenance = args.command + ("-builtin" if builtin else "")
         payload = {
-            "results": [r.to_dict() for r in records],
-            "status": "ok" if all(c.passed for c in checks) else "check-failed",
+            "results": [{"label": label, "value": d.f0, "first": d.f1,
+                         "second": d.f2, "provenance": provenance}
+                        for label, d in rows],
+            "status": "ok" if all(c["pass"] for c in checks)
+            else "check-failed",
         }
         if args.check:
-            payload["checks"] = [c.to_dict() for c in checks]
+            payload["checks"] = checks
         print(json.dumps(payload, indent=2))
         return
     digits = args.precision
-    width = max(len(r.label) for r in records)
-    for r in records:
-        print(f"{r.label:<{width}}  {r.value:+.{digits}f}  "
-              f"{r.first:+.{digits}f}  {r.second:+.{digits}f}")
+    width = max(len(label) for label, _ in rows)
+    for label, d in rows:
+        print(f"{label:<{width}}  {d.f0:+.{digits}f}  "
+              f"{d.f1:+.{digits}f}  {d.f2:+.{digits}f}")
     for c in checks:
-        verdict = "PASS" if c.passed else "FAIL"
-        print(f"check {c.label}.{c.field}: {c.actual:+.{digits}f} "
-              f"vs {c.expected:+.{digits}f}  {verdict}")
+        verdict = "PASS" if c["pass"] else "FAIL"
+        print(f"check {c['label']}.{c['field']}: {c['actual']:+.{digits}f} "
+              f"vs {c['expected']:+.{digits}f}  {verdict}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -293,50 +273,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "functions, splines and ODE solutions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("nr-example1", parents=[common],
-                       help="implicit-function derivatives for the bundled "
-                            "trigonometric equation")
-    p.set_defaults(handler=_cmd_nr_example1)
-
-    p = sub.add_parser("mechanism", parents=[common],
-                       help="RRRCR output-angle derivatives")
-    p.add_argument("--x0", type=float, default=fixtures.MECHANISM_X0,
-                   help="input angle (default %(default)s)")
-    p.add_argument("--fn", choices=("2sin2", "identity"), default="2sin2",
-                   help="composition function: 2 sin^2 x or the identity")
-    p.set_defaults(handler=_cmd_mechanism)
-
-    p = sub.add_parser("spline", parents=[common],
-                       help="spline value and composition derivatives")
-    p.add_argument("--csv", metavar="PATH", default=None,
-                   help="two-column (x, y) data; defaults to the bundled "
-                        "log-curve samples")
-    p.add_argument("--at", type=float, default=fixtures.SPLINE_AT,
-                   help="evaluation point (default %(default)s)")
-    p.set_defaults(handler=_cmd_spline)
-
-    p = sub.add_parser("diffusivity", parents=[common],
-                       help="thermal diffusivity from an amplitude-vs-"
-                            "frequency curve")
-    p.add_argument("--csv", metavar="PATH", default=None,
-                   help="two-column (frequency, amplitude) data; defaults "
-                        "to the bundled synthetic curve")
-    p.add_argument("--thickness", type=float,
-                   default=fixtures.SAMPLE_THICKNESS,
-                   help="sample thickness in metres (default %(default)s)")
-    p.add_argument("--x0", type=float, default=fixtures.DIFFUSIVITY_X0,
-                   help="start frequency for the peak search; falls back "
-                        "to the strongest sample when outside the data "
-                        "range (default %(default)s)")
-    p.set_defaults(handler=_cmd_diffusivity)
-
-    p = sub.add_parser("duffing", parents=[common],
-                       help="derivatives of compositions with the Duffing "
-                            "solution (g = sin)")
-    p.add_argument("--t", type=float, default=fixtures.DUFFING_T,
-                   help="evaluation time (default %(default)s)")
-    p.set_defaults(handler=_cmd_duffing)
+    for name, problem in PROBLEMS.items():
+        p = sub.add_parser(name, parents=[common], help=problem.help)
+        for flag, options in problem.options:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -350,16 +290,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not 1 <= args.precision <= 17:
         print("error: --precision must be between 1 and 17", file=sys.stderr)
         return 1
+    problem = PROBLEMS[args.command]
     try:
-        records, checks = args.handler(args)
+        rows = problem.run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    _emit(records, checks, args)
-    return 0 if all(c.passed for c in checks) else 2
+    checks = _check(rows, problem.wanted) if args.check else []
+    _emit(rows, checks, args)
+    return 0 if all(c["pass"] for c in checks) else 2
 
 
 if __name__ == "__main__":

@@ -1,15 +1,16 @@
 """Dual Newton-Raphson and Halley root finding for implicit functions.
 
-Given ``F(u, x) = 0`` defining ``u(x)`` implicitly, the solvers return
-``u`` as a :class:`~dualnum.core.Dual3` whose derivative components are
-the exact first and second derivatives of ``u`` composed with whatever
-seed the caller passes in ``g``.  No closed form for ``u`` and no hand
-derivatives of ``F`` are needed: ``F`` is supplied as a callable built
-from dual operations, and its partials fall out of the dual components.
+Given ``F(u, x) = 0`` defining ``u(x)`` implicitly, :func:`find_root`
+returns ``u`` as a :class:`~dualnum.core.Dual3` whose derivative
+components are the exact first and second derivatives of ``u`` composed
+with whatever seed the caller passes in ``g``.  No closed form for ``u``
+and no hand derivatives of ``F`` are needed: ``F`` is supplied as a
+callable built from dual operations, and its partials fall out of the
+dual components.
 
 The iteration runs in two phases.  The real part converges by classical
-Newton (or Halley) steps with the slope refreshed each iteration; the
-derivative components are then settled by exactly two dual-only passes
+Newton (or Halley) steps; the derivative components are then settled by
+exactly two dual-only passes
 
     u~  <-  u~  -  F~(u~, g) / {F_u, 0, 0}
 
@@ -42,21 +43,18 @@ _SETTLE_PASSES = 2
 
 @dataclass(frozen=True)
 class RootConfig:
-    """Iteration controls for the implicit-function solvers.
+    """Iteration controls for :func:`find_root`.
 
-    ``tol`` is a residual tolerance on ``|F|``; ``tol = 0`` disables the
-    early exit and runs exactly ``max_iters`` real-part iterations, which
-    reproduces fixed-count reference runs.  ``refresh_slope = False``
-    freezes the derivative(s) used in the real-part update at the initial
-    guess (the historical fixed-slope scheme); the settle phase makes the
-    returned derivative components exact either way.
+    ``method`` is ``"newton"`` or ``"halley"``.  ``tol`` is a residual
+    tolerance on ``|F|``; ``tol = 0`` disables the early exit and runs
+    exactly ``max_iters`` real-part iterations, which reproduces
+    fixed-count reference runs.
     """
 
     u0: float
     method: str = "newton"
     max_iters: int = 100
     tol: float = 1e-12
-    refresh_slope: bool = True
 
     def __post_init__(self):
         if self.method not in ("newton", "halley"):
@@ -69,29 +67,11 @@ class RootConfig:
             raise ValidationError("tol must be >= 0")
 
 
-def nr_dual(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
-    """Solve ``F(u, g.f0) = 0`` by Newton-Raphson; derivatives from ``g``."""
-    return _solve("newton", cfg, F, g)
-
-
-def halley_dual(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
-    """Solve ``F(u, g.f0) = 0`` by Halley's method; derivatives from ``g``."""
-    return _solve("halley", cfg, F, g)
-
-
 def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
-    """Dispatch on ``cfg.method``."""
-    return _solve(cfg.method, cfg, F, g)
-
-
-def _solve(method: str, cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
+    """Solve ``F(u, g.f0) = 0`` by ``cfg.method``; derivatives from ``g``."""
+    newton = cfg.method == "newton"
     x_const = constant(g.f0)
     u = float(cfg.u0)
-
-    frozen = None
-    if not cfg.refresh_slope:
-        fd0 = F(variable(u), x_const)
-        frozen = (fd0.f1, fd0.f2)
 
     converged = False
     for k in range(cfg.max_iters):
@@ -105,15 +85,15 @@ def _solve(method: str, cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
         if cfg.tol > 0.0 and abs(resid) <= cfg.tol:
             converged = True
             break
-        fu, fuu = frozen if frozen is not None else (fd.f1, fd.f2)
+        fu = fd.f1
         if fu == 0.0:
             raise SingularDerivativeError(
                 f"dF/du vanished at iterate {k} (u={u})"
             )
-        if method == "newton":
+        if newton:
             u = u - resid / fu
         else:
-            denom = 2.0 * fu * fu - resid * fuu
+            denom = 2.0 * fu * fu - resid * fd.f2
             if denom == 0.0:
                 raise SingularDerivativeError(
                     f"Halley denominator vanished at iterate {k} (u={u})"
@@ -162,7 +142,9 @@ class MechanismParams:
     """Link constants of the RRRCR spatial mechanism loop-closure equation.
 
     ``c1``/``c2`` default to the positive cosine branch paired with the
-    given sines, ``c_i = +sqrt(1 - s_i**2)``.
+    given sines, ``c_i = +sqrt(1 - s_i**2)``.  Non-finite constants,
+    ``|s_i| > 1`` and pairs off the unit circle raise
+    :class:`~dualnum.errors.ValidationError`.
     """
 
     L: float
@@ -177,12 +159,19 @@ class MechanismParams:
     c2: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.c1 is None:
-            object.__setattr__(self, "c1", math.sqrt(1.0 - self.s1 ** 2))
-        if self.c2 is None:
-            object.__setattr__(self, "c2", math.sqrt(1.0 - self.s2 ** 2))
-        for s, c, tag in ((self.s1, self.c1, "1"), (self.s2, self.c2, "2")):
-            if abs(s * s + c * c - 1.0) > 1e-12:
+        for name in ("L", "l", "a", "R", "s1", "s2", "b", "e"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(
+                    f"{name} must be finite, got {getattr(self, name)}"
+                )
+        for tag in ("1", "2"):
+            s, c = getattr(self, "s" + tag), getattr(self, "c" + tag)
+            if abs(s) > 1.0:
+                raise ValidationError(f"|s{tag}| = {abs(s)} > 1")
+            if c is None:
+                c = math.sqrt(1.0 - s ** 2)
+                object.__setattr__(self, "c" + tag, c)
+            if not abs(s * s + c * c - 1.0) <= 1e-12:
                 raise ValidationError(
                     f"s{tag}^2 + c{tag}^2 = {s * s + c * c} != 1"
                 )
@@ -216,10 +205,3 @@ class MechanismParams:
             + R * R * cph * cph
         )
 
-
-def mechanism_phi(params: MechanismParams, g: Dual3, cfg: RootConfig) -> Dual3:
-    """Output angle of the RRRCR mechanism with derivatives along ``g``.
-
-    ``cfg.u0`` supplies the initial guess for the output angle.
-    """
-    return find_root(cfg, params.loop_closure, g)

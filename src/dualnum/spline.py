@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -49,6 +48,9 @@ _LN_RATIO = _LN_ALPHA_CONJ - _LN_ALPHA
 # alpha**n overflows the exp/log evaluation beyond this size.
 MAX_CLOSED_FORM_SIZE = 500
 
+# Newton steps taken by find_derivative_root.
+DERIVATIVE_ROOT_ITERS = 50
+
 
 @dataclass(frozen=True)
 class SplineData:
@@ -72,11 +74,6 @@ class SplineData:
         y.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-    @classmethod
-    def from_points(cls, points: Iterable[Tuple[float, float]]) -> "SplineData":
-        pts = list(points)
-        return cls(np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
 
     def __len__(self) -> int:
         return int(self.x.size)
@@ -185,16 +182,15 @@ def tinv_entry(n: int, s: int, k: int) -> float:
     return sign * lead * bracket / denom
 
 
-def find_derivative_root(model: SplineModel, x0: float, iters: int = 50) -> float:
+def find_derivative_root(model: SplineModel, x0: float) -> float:
     """Newton search for a zero of the spline's first derivative.
 
-    Iterates ``x <- x - P'(x)/P''(x)`` on the dual components.  Natural
-    ends force ``P'' = 0`` at the exact endpoints, so the start point and
-    any clamped restart are pulled half an edge segment inside the range.
+    Takes ``DERIVATIVE_ROOT_ITERS`` steps ``x <- x - P'(x)/P''(x)`` on the
+    dual components.  Natural ends force ``P'' = 0`` at the exact
+    endpoints, so the start point and any clamped restart are pulled half
+    an edge segment inside the range.
     A second escape from the data range means no interior extremum.
     """
-    if iters < 1:
-        raise ValidationError("iters must be >= 1")
     knots = model.data.x
     lo, hi = float(knots[0]), float(knots[-1])
     if not (lo <= x0 <= hi):
@@ -204,7 +200,7 @@ def find_derivative_root(model: SplineModel, x0: float, iters: int = 50) -> floa
     x = min(max(float(x0), inner_lo), inner_hi)
 
     escapes = 0
-    for _ in range(iters):
+    for _ in range(DERIVATIVE_ROOT_ITERS):
         v = eval_dual(model, variable(x))
         if v.f2 == 0.0:
             raise SingularDerivativeError(

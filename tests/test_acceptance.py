@@ -22,8 +22,8 @@ from dualnum import (
     duffing_problem,
     eval_dual,
     exp,
+    find_root,
     lift_elemental,
-    nr_dual,
     rk4,
     rk4dual,
     tinv_entry,
@@ -165,10 +165,10 @@ def test_criterion_7_ad_vs_fd_property_suite():
             cfg = RootConfig(u0=u0, tol=1e-14)
 
             def solve_value(x, _eq=equation, _cfg=cfg):
-                return nr_dual(_cfg, _eq, variable(x)).f0
+                return find_root(_cfg, _eq, variable(x)).f0
 
             for x in np.linspace(*span, 20):
-                fd_check(nr_dual(cfg, equation, variable(float(x))),
+                fd_check(find_root(cfg, equation, variable(float(x))),
                          solve_value, float(x))
 
         sin_x = np.linspace(0.0, math.pi, 17)

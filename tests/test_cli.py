@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualnum.cli import ResultRecord, main, read_xy_csv
+from dualnum.cli import main, read_xy_csv
 from dualnum import ValidationError
 from dualnum import fixtures
 
@@ -93,8 +93,6 @@ class TestJsonOutput:
         for row in payload["results"]:
             assert set(row) == {"label", "value", "first", "second",
                                 "provenance"}
-            record = ResultRecord.from_dict(row)
-            assert record.to_dict() == row
 
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run(capsys, "duffing", "--json")

@@ -11,17 +11,15 @@ from dualnum import (
     Dual3,
     DomainError,
     ELEMENTALS,
-    TaylorJet,
     ValidationError,
     compose,
     constant,
     exp,
-    jet_mul,
     lift_elemental,
     sin,
     variable,
 )
-from dualnum.reference import central_diff
+from dualnum.reference import TaylorJet, central_diff, jet_mul
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 # divisor components kept small relative to the real part so the quotient

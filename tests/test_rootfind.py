@@ -14,9 +14,6 @@ from dualnum import (
     constant,
     exp,
     find_root,
-    halley_dual,
-    mechanism_phi,
-    nr_dual,
     sin,
     variable,
 )
@@ -76,18 +73,18 @@ class TestConfig:
 class TestNewton:
     def test_reference_values_at_seed(self):
         xd = variable(0.7)
-        u = nr_dual(cfg(2.0, max_iters=100, tol=0.0),
-                    fixtures.nr_example1_equation, xd)
+        u = find_root(cfg(2.0, max_iters=100, tol=0.0),
+                      fixtures.nr_example1_equation, xd)
         assert np.allclose((u.f0, u.f1, u.f2), (1.3085, 0.1163, -0.9337),
                            atol=1e-4)
 
     def test_reference_values_through_compositions(self):
         xd = variable(0.7)
         solver_cfg = cfg(2.0, max_iters=100, tol=0.0)
-        u = nr_dual(solver_cfg, fixtures.nr_example1_equation, xd)
+        u = find_root(solver_cfg, fixtures.nr_example1_equation, xd)
         g1 = sin(u) + xd
-        g2 = nr_dual(solver_cfg, fixtures.nr_example1_equation,
-                     sin(xd) + xd * xd)
+        g2 = find_root(solver_cfg, fixtures.nr_example1_equation,
+                       sin(xd) + xd * xd)
         assert np.allclose((g1.f0, g1.f1, g1.f2), (1.6658, 1.0301, -0.2551),
                            atol=1e-4)
         assert np.allclose((g2.f0, g2.f1, g2.f2), (1.2963, -0.2556, -1.1425),
@@ -95,11 +92,11 @@ class TestNewton:
 
     def test_identity_equation(self):
         for x0 in (-3.0, 0.0, 1.7):
-            u = nr_dual(cfg(10.0), identity_eq, variable(x0))
+            u = find_root(cfg(10.0), identity_eq, variable(x0))
             assert u == Dual3(x0, 1.0, 0.0)
 
     def test_cube_root_closed_form(self):
-        u = nr_dual(cfg(1.0), cube_eq, variable(8.0))
+        u = find_root(cfg(1.0), cube_eq, variable(8.0))
         assert np.allclose((u.f0, u.f1, u.f2), (2.0, 1 / 12, -1 / 144),
                            atol=1e-12)
 
@@ -107,20 +104,20 @@ class TestNewton:
     def test_matches_closed_form_on_grid(self, equation, closed, span):
         for x0 in np.linspace(*span, 9):
             xd = variable(float(x0))
-            u = nr_dual(cfg(1.0), equation, xd)
+            u = find_root(cfg(1.0), equation, xd)
             want = closed(xd)
             assert u.f0 == pytest.approx(want.f0, abs=1e-9)
             assert u.f1 == pytest.approx(want.f1, abs=1e-9)
             assert u.f2 == pytest.approx(want.f2, abs=1e-9)
 
     def test_constant_seed_returns_constant(self):
-        u = nr_dual(cfg(2.0), fixtures.nr_example1_equation, constant(0.7))
+        u = find_root(cfg(2.0), fixtures.nr_example1_equation, constant(0.7))
         assert u.f1 == 0.0 and u.f2 == 0.0
 
     def test_settle_phase_matches_implicit_formulas(self):
         # partials of F = u^3 + u*x - exp(x)
         x0 = 0.8
-        u = nr_dual(cfg(1.0, tol=1e-14), stiff_mixed_eq, variable(x0))
+        u = find_root(cfg(1.0, tol=1e-14), stiff_mixed_eq, variable(x0))
         us = u.f0
         f_u = 3 * us ** 2 + x0
         f_x = us - math.exp(x0)
@@ -133,33 +130,23 @@ class TestNewton:
         assert u.f2 == pytest.approx(second, abs=1e-9)
 
     def test_early_exit_still_settles_derivatives(self):
-        loose = nr_dual(cfg(2.0, tol=1e-10), fixtures.nr_example1_equation,
-                        variable(0.7))
-        tight = nr_dual(cfg(2.0, tol=0.0, max_iters=100),
-                        fixtures.nr_example1_equation, variable(0.7))
+        loose = find_root(cfg(2.0, tol=1e-10), fixtures.nr_example1_equation,
+                          variable(0.7))
+        tight = find_root(cfg(2.0, tol=0.0, max_iters=100),
+                          fixtures.nr_example1_equation, variable(0.7))
         assert loose.f1 == pytest.approx(tight.f1, abs=1e-9)
         assert loose.f2 == pytest.approx(tight.f2, abs=1e-9)
-
-    def test_frozen_slope_variant_agrees(self):
-        xd = variable(0.7)
-        fixed = nr_dual(cfg(2.0, tol=0.0, max_iters=100, refresh_slope=False),
-                        fixtures.nr_example1_equation, xd)
-        fresh = nr_dual(cfg(2.0, tol=0.0, max_iters=100),
-                        fixtures.nr_example1_equation, xd)
-        assert fixed.f0 == pytest.approx(fresh.f0, abs=1e-12)
-        assert fixed.f1 == pytest.approx(fresh.f1, abs=1e-12)
-        assert fixed.f2 == pytest.approx(fresh.f2, abs=1e-12)
 
     def test_finite_differences_of_solver(self):
         rng = np.random.RandomState(7)
         equation = fixtures.nr_example1_equation
 
         def solve_value(x):
-            return nr_dual(cfg(2.0, tol=1e-14), equation, variable(x)).f0
+            return find_root(cfg(2.0, tol=1e-14), equation, variable(x)).f0
 
         for _ in range(10):
             x0 = float(rng.uniform(0.4, 1.0))
-            u = nr_dual(cfg(2.0, tol=1e-14), equation, variable(x0))
+            u = find_root(cfg(2.0, tol=1e-14), equation, variable(x0))
             fd1 = central_diff(solve_value, x0, 1)
             fd2 = central_diff(solve_value, x0, 2)
             assert abs(u.f1 - fd1) <= 1e-6 * max(1.0, abs(u.f1))
@@ -169,33 +156,38 @@ class TestNewton:
 class TestHalley:
     def test_agrees_with_newton_on_reference_problem(self):
         xd = variable(0.7)
-        n = nr_dual(cfg(2.0), fixtures.nr_example1_equation, xd)
-        h = halley_dual(cfg(2.0), fixtures.nr_example1_equation, xd)
+        n = find_root(cfg(2.0), fixtures.nr_example1_equation, xd)
+        h = find_root(cfg(2.0, method="halley"),
+                      fixtures.nr_example1_equation, xd)
         assert np.allclose((n.f0, n.f1, n.f2), (h.f0, h.f1, h.f2), atol=1e-9)
 
     @pytest.mark.parametrize("equation,closed,span", CLOSED_FORM_EQUATIONS)
     def test_agrees_with_newton_everywhere(self, equation, closed, span):
         for x0 in np.linspace(*span, 5):
             xd = variable(float(x0))
-            n = nr_dual(cfg(1.0), equation, xd)
-            h = halley_dual(cfg(1.0), equation, xd)
+            n = find_root(cfg(1.0), equation, xd)
+            h = find_root(cfg(1.0, method="halley"), equation, xd)
             assert np.allclose((n.f0, n.f1, n.f2), (h.f0, h.f1, h.f2),
                                atol=1e-9)
 
     def test_identity_in_one_iteration(self):
-        u = halley_dual(cfg(5.0, max_iters=1, tol=0.0), identity_eq,
-                        variable(2.5))
+        u = find_root(cfg(5.0, method="halley", max_iters=1, tol=0.0),
+                      identity_eq, variable(2.5))
         assert u == Dual3(2.5, 1.0, 0.0)
 
     def test_cube_root(self):
-        u = halley_dual(cfg(1.0), cube_eq, variable(8.0))
+        u = find_root(cfg(1.0, method="halley"), cube_eq, variable(8.0))
         assert np.allclose((u.f0, u.f1, u.f2), (2.0, 1 / 12, -1 / 144),
                            atol=1e-12)
 
     def test_find_root_dispatch(self):
+        # after one real-part iteration the two methods still differ
         xd = variable(8.0)
-        via_halley = find_root(cfg(1.0, method="halley"), cube_eq, xd)
-        assert via_halley == halley_dual(cfg(1.0), cube_eq, xd)
+        halley = find_root(cfg(1.0, method="halley", max_iters=1, tol=0.0),
+                           cube_eq, xd)
+        newton = find_root(cfg(1.0, max_iters=1, tol=0.0), cube_eq, xd)
+        assert halley.f0 == pytest.approx(1.9763, abs=1e-4)
+        assert newton.f0 == pytest.approx(2.2544, abs=1e-4)
 
 
 class TestErrors:
@@ -204,7 +196,7 @@ class TestErrors:
             return u * u + x - x  # dF/du = 0 at u = 0
 
         with pytest.raises(SingularDerivativeError):
-            nr_dual(cfg(0.0), flat, variable(1.0))
+            find_root(cfg(0.0), flat, variable(1.0))
 
     def test_divergence_reports_iterations(self):
         # first Newton step jumps to ~ -5e299, squaring overflows to inf
@@ -212,7 +204,7 @@ class TestErrors:
             return u * u + constant(1e300) + (x - x)
 
         with pytest.raises(DivergenceError) as err:
-            nr_dual(cfg(1.0, tol=0.0, max_iters=10), explodes, variable(1.0))
+            find_root(cfg(1.0, tol=0.0, max_iters=10), explodes, variable(1.0))
         assert err.value.iterations >= 1
 
     def test_non_convergence_carries_residual(self):
@@ -220,7 +212,8 @@ class TestErrors:
             return u * u + constant(1.0) + (x - x)
 
         with pytest.raises(NonConvergenceError) as err:
-            nr_dual(cfg(0.5, tol=1e-12, max_iters=40), rootless, variable(1.0))
+            find_root(cfg(0.5, tol=1e-12, max_iters=40), rootless,
+                      variable(1.0))
         assert math.isfinite(err.value.residual)
         assert abs(err.value.residual) > 1e-12
 
@@ -236,22 +229,33 @@ class TestMechanism:
             MechanismParams(L=1, l=1, a=1, R=1, s1=0.5, s2=0.5, b=2, e=1,
                             c1=0.9, c2=math.sqrt(0.75))
 
+    @pytest.mark.parametrize("field,value", [
+        ("s1", 1.5), ("s2", -1.0000001), ("s1", math.nan), ("s2", math.inf),
+        ("L", math.nan), ("l", math.inf), ("a", -math.inf), ("R", math.nan),
+        ("b", math.inf), ("e", math.nan), ("c1", math.nan), ("c2", math.inf),
+    ])
+    def test_non_finite_or_out_of_range_constant_rejected(self, field, value):
+        good = dict(L=1.0, l=1.0, a=1.0, R=1.0, s1=0.5, s2=0.5, b=2.0, e=1.0)
+        with pytest.raises(ValidationError):
+            MechanismParams(**{**good, field: value})
+
     def test_output_angle_reference_values(self):
         params = fixtures.MECHANISM_PARAMS
         solver_cfg = cfg(fixtures.MECHANISM_PHI0, max_iters=100, tol=0.0)
         xd = variable(2.0)
-        phi = mechanism_phi(params, xd, solver_cfg)
+        phi = find_root(solver_cfg, params.loop_closure, xd)
         f_of_phi = 2.0 * sin(phi) * sin(phi)
         assert np.allclose((f_of_phi.f0, f_of_phi.f1, f_of_phi.f2),
                            (1.4279, -1.7693, -1.2856), atol=1e-4)
-        phi_of_f = mechanism_phi(params, 2.0 * sin(xd) * sin(xd), solver_cfg)
+        phi_of_f = find_root(solver_cfg, params.loop_closure,
+                             2.0 * sin(xd) * sin(xd))
         assert np.allclose((phi_of_f.f0, phi_of_f.f1, phi_of_f.f2),
                            (1.7817, -1.6171, -3.5137), atol=1e-4)
 
     def test_returned_angle_satisfies_loop_equation(self):
         params = fixtures.MECHANISM_PARAMS
-        phi = mechanism_phi(params, variable(2.0),
-                            cfg(fixtures.MECHANISM_PHI0))
+        phi = find_root(cfg(fixtures.MECHANISM_PHI0), params.loop_closure,
+                        variable(2.0))
         residual = params.loop_closure(constant(phi.f0), constant(2.0)).f0
         assert abs(residual) <= 1e-9
 
@@ -259,8 +263,8 @@ class TestMechanism:
         params = fixtures.MECHANISM_PARAMS
         roots = []
         for phi0 in np.arange(0.3, 2.01, 0.1):
-            phi = mechanism_phi(params, variable(2.0),
-                                cfg(float(phi0), tol=0.0, max_iters=100))
+            phi = find_root(cfg(float(phi0), tol=0.0, max_iters=100),
+                            params.loop_closure, variable(2.0))
             roots.append(phi.f0)
         assert np.allclose(roots, roots[0], atol=1e-9)
 
@@ -268,11 +272,11 @@ class TestMechanism:
         params = fixtures.MECHANISM_PARAMS
 
         def angle(theta):
-            return mechanism_phi(params, variable(theta),
-                                 cfg(fixtures.MECHANISM_PHI0, tol=1e-14)).f0
+            return find_root(cfg(fixtures.MECHANISM_PHI0, tol=1e-14),
+                             params.loop_closure, variable(theta)).f0
 
-        phi = mechanism_phi(params, variable(2.0),
-                            cfg(fixtures.MECHANISM_PHI0, tol=1e-14))
+        phi = find_root(cfg(fixtures.MECHANISM_PHI0, tol=1e-14),
+                        params.loop_closure, variable(2.0))
         assert abs(phi.f1 - central_diff(angle, 2.0, 1)) <= 1e-6 * abs(phi.f1)
         assert abs(phi.f2 - central_diff(angle, 2.0, 2)) <= 1e-4 * abs(phi.f2)
 

@@ -48,10 +48,6 @@ class TestValidation:
         with pytest.raises(ValidationError):
             SplineData(np.array([0.0, np.inf]), np.array([0.0, 1.0]))
 
-    def test_from_points(self):
-        data = SplineData.from_points([(0.0, 1.0), (1.0, 3.0)])
-        assert len(data) == 2
-
 
 class TestBuild:
     def test_bundled_fixture_interpolates_knots(self):
@@ -225,32 +221,32 @@ class TestDerivativeRoot:
     def test_parabola_maximum_from_far_edge(self):
         x = np.linspace(0.0, 10.0, 21)
         model = build_spline(SplineData(x, -(x - 5.0) ** 2))
-        assert find_derivative_root(model, 10.0, 50) == pytest.approx(
+        assert find_derivative_root(model, 10.0) == pytest.approx(
             5.0, abs=1e-6)
 
     def test_sine_maximum(self):
         x = np.linspace(0.0, math.pi, 17)
         model = build_spline(SplineData(x, np.sin(x)))
-        assert find_derivative_root(model, 1.0, 50) == pytest.approx(
+        assert find_derivative_root(model, 1.0) == pytest.approx(
             math.pi / 2.0, abs=1e-3)
 
     def test_monotone_data_has_no_extremum(self):
         x = np.linspace(0.0, 2.0, 11)
         model = build_spline(SplineData(x, np.exp(x)))
         with pytest.raises(NoExtremumError):
-            find_derivative_root(model, 1.0, 50)
+            find_derivative_root(model, 1.0)
 
     def test_flat_data_is_singular(self):
         x = np.linspace(0.0, 2.0, 11)
         model = build_spline(SplineData(x, np.full(11, 1.0)))
         with pytest.raises(SingularDerivativeError):
-            find_derivative_root(model, 1.0, 50)
+            find_derivative_root(model, 1.0)
 
     def test_start_outside_range(self):
         x = np.linspace(0.0, 2.0, 11)
         model = build_spline(SplineData(x, np.sin(x)))
         with pytest.raises(OutOfRangeError):
-            find_derivative_root(model, 5.0, 50)
+            find_derivative_root(model, 5.0)
 
 
 class TestDiffusivity:
@@ -262,7 +258,7 @@ class TestDiffusivity:
     def test_pipeline_on_synthetic_curve(self):
         model = build_spline(fixtures.radiometry_fixture())
         start = float(model.data.x[len(model.data) // 2])
-        peak = find_derivative_root(model, start, fixtures.DIFFUSIVITY_ITERS)
+        peak = find_derivative_root(model, start)
         alpha = diffusivity(fixtures.SAMPLE_THICKNESS, peak)
         assert alpha == pytest.approx(fixtures.TARGET_DIFFUSIVITY, rel=0.02)
 
