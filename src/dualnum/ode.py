@@ -51,14 +51,22 @@ def rk4(problem: OdeProblem, t_end: float) -> Tuple[float, float]:
     h = (t_end - problem.t0) / problem.num_steps
     t, x1, x2 = problem.t0, problem.x10, problem.x20
     for step in range(problem.num_steps):
-        k11 = u1(t, x1, x2)
-        k12 = u2(t, x1, x2)
-        k21 = u1(t + 0.5 * h, x1 + 0.5 * h * k11, x2 + 0.5 * h * k12)
-        k22 = u2(t + 0.5 * h, x1 + 0.5 * h * k11, x2 + 0.5 * h * k12)
-        k31 = u1(t + 0.5 * h, x1 + 0.5 * h * k21, x2 + 0.5 * h * k22)
-        k32 = u2(t + 0.5 * h, x1 + 0.5 * h * k21, x2 + 0.5 * h * k22)
-        k41 = u1(t + h, x1 + h * k31, x2 + h * k32)
-        k42 = u2(t + h, x1 + h * k31, x2 + h * k32)
+        # A float ``**`` or math function raises OverflowError where
+        # arithmetic would give inf; either way the state has blown up.
+        try:
+            k11 = u1(t, x1, x2)
+            k12 = u2(t, x1, x2)
+            k21 = u1(t + 0.5 * h, x1 + 0.5 * h * k11, x2 + 0.5 * h * k12)
+            k22 = u2(t + 0.5 * h, x1 + 0.5 * h * k11, x2 + 0.5 * h * k12)
+            k31 = u1(t + 0.5 * h, x1 + 0.5 * h * k21, x2 + 0.5 * h * k22)
+            k32 = u2(t + 0.5 * h, x1 + 0.5 * h * k21, x2 + 0.5 * h * k22)
+            k41 = u1(t + h, x1 + h * k31, x2 + h * k32)
+            k42 = u2(t + h, x1 + h * k31, x2 + h * k32)
+        except OverflowError as exc:
+            raise BlowUpError(
+                f"right-hand side overflowed in step {step} (t = {t})",
+                step=step,
+            ) from exc
         x1 += h / 6.0 * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
         x2 += h / 6.0 * (k12 + 2.0 * k22 + 2.0 * k32 + k42)
         t = problem.t0 + (step + 1) * h
@@ -78,7 +86,14 @@ def rk4dual(problem: OdeProblem, t: Dual3) -> Dual3:
     ``sin(variable(t0))``) yields the derivatives of the composition.
     """
     x1, x2 = rk4(problem, t.f0)
-    jet = Dual3(x1, x2, problem.rhs2(t.f0, x1, x2))
+    try:
+        f2 = problem.rhs2(t.f0, x1, x2)
+    except OverflowError as exc:
+        raise BlowUpError(
+            f"right-hand side overflowed at the end state (t = {t.f0})",
+            step=problem.num_steps - 1,
+        ) from exc
+    jet = Dual3(x1, x2, f2)
     return compose(jet, t)
 
 

@@ -48,7 +48,8 @@ _LN_RATIO = _LN_ALPHA_CONJ - _LN_ALPHA
 # alpha**n overflows the exp/log evaluation beyond this size.
 MAX_CLOSED_FORM_SIZE = 500
 
-# Newton steps taken by find_derivative_root.
+# Newton steps taken by find_derivative_root: at most 50 steps; stops when
+# a step returns its input.
 DERIVATIVE_ROOT_ITERS = 50
 
 
@@ -126,17 +127,18 @@ def build_spline(data: SplineData) -> SplineModel:
     return SplineModel(data=data, slopes=slopes, a=a, b=b, c=c, d=d)
 
 
-def _segment_index(model: SplineModel, x0: float) -> int:
-    knots = model.data.x
-    if not (knots[0] <= x0 <= knots[-1]):
+def _segment_index(knots: np.ndarray, x0: float) -> int:
+    # .item() reads plain floats: numpy-scalar reads cost more than the
+    # comparisons and arithmetic they feed.
+    lo, hi = knots.item(0), knots.item(-1)
+    if not (lo <= x0 <= hi):
         raise OutOfRangeError(
-            f"x = {x0} outside data range [{knots[0]}, {knots[-1]}] "
-            "(no extrapolation)"
+            f"x = {x0} outside data range [{lo}, {hi}] (no extrapolation)"
         )
     # Interior knots map to their right-hand segment; the last knot maps
     # to the final segment evaluated at t = 1.
-    i = int(np.searchsorted(knots, x0, side="right")) - 1
-    return min(max(i, 0), len(model.data) - 2)
+    i = int(knots.searchsorted(x0, side="right")) - 1
+    return min(max(i, 0), knots.size - 2)
 
 
 def eval_dual(model: SplineModel, x: Dual3) -> Dual3:
@@ -146,12 +148,13 @@ def eval_dual(model: SplineModel, x: Dual3) -> Dual3:
     dual chain, so the returned components are derivatives with respect
     to whatever seed ``x`` carries.
     """
-    i = _segment_index(model, x.f0)
     knots = model.data.x
-    h = float(knots[i + 1] - knots[i])
-    t = (x - float(knots[i])) * (1.0 / h)
-    return ((t * float(model.d[i]) + float(model.c[i])) * t
-            + float(model.b[i])) * t + float(model.a[i])
+    i = _segment_index(knots, x.f0)
+    k0 = knots.item(i)
+    h = knots.item(i + 1) - k0
+    t = (x - k0) * (1.0 / h)
+    return ((t * model.d.item(i) + model.c.item(i)) * t
+            + model.b.item(i)) * t + model.a.item(i)
 
 
 def tinv_entry(n: int, s: int, k: int) -> float:
@@ -185,14 +188,16 @@ def tinv_entry(n: int, s: int, k: int) -> float:
 def find_derivative_root(model: SplineModel, x0: float) -> float:
     """Newton search for a zero of the spline's first derivative.
 
-    Takes ``DERIVATIVE_ROOT_ITERS`` steps ``x <- x - P'(x)/P''(x)`` on the
-    dual components.  Natural ends force ``P'' = 0`` at the exact
-    endpoints, so the start point and any clamped restart are pulled half
-    an edge segment inside the range.
+    Takes at most ``DERIVATIVE_ROOT_ITERS`` (50) steps
+    ``x <- x - P'(x)/P''(x)`` on the dual components and stops when a
+    step returns its input, since every later step would return it too.
+    Natural ends force ``P'' = 0`` at the exact endpoints, so the start
+    point and any clamped restart are pulled half an edge segment inside
+    the range.
     A second escape from the data range means no interior extremum.
     """
     knots = model.data.x
-    lo, hi = float(knots[0]), float(knots[-1])
+    lo, hi = knots.item(0), knots.item(-1)
     if not (lo <= x0 <= hi):
         raise OutOfRangeError(f"start x = {x0} outside data range [{lo}, {hi}]")
     inner_lo = lo + 0.5 * float(knots[1] - knots[0])
@@ -209,6 +214,11 @@ def find_derivative_root(model: SplineModel, x0: float) -> float:
         nxt = x - v.f1 / v.f2
         if not math.isfinite(nxt):
             raise DivergenceError(f"non-finite iterate from x = {x}")
+        # eval_dual is pure, so a step that returns its own input would
+        # return it on every later step.  Test the unclamped step: a step
+        # clamped back onto x is still an escape and must be counted.
+        if nxt == x:
+            break
         if nxt < lo or nxt > hi:
             escapes += 1
             if escapes >= 2:

@@ -50,6 +50,13 @@ class TestExitCodes:
         assert code == 2
         assert "extremum" in err
 
+    @pytest.mark.parametrize("t", ["100", "1e300"])
+    def test_overflowing_duffing_is_two(self, capsys, t):
+        code, out, err = run(capsys, "duffing", "--t", t)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure:")
+
     def test_out_of_range_at_is_one(self, capsys):
         code, _, err = run(capsys, "spline", "--at", "99.0")
         assert code == 1

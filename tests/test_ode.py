@@ -69,6 +69,22 @@ class TestRk4:
             rk4(problem, 100.0)
         assert 0 <= err.value.step < 200
 
+    def test_overflowing_rhs_is_blow_up(self):
+        # A float ** raises OverflowError instead of returning inf.
+        problem = OdeProblem(t0=0.0, x10=1e200, x20=0.0,
+                             rhs1=lambda t, x1, x2: x2,
+                             rhs2=lambda t, x1, x2: -x1 ** 3,
+                             num_steps=10)
+        with pytest.raises(BlowUpError) as err:
+            rk4(problem, 1.0)
+        assert err.value.step == 0
+        assert isinstance(err.value.__cause__, OverflowError)
+
+    def test_duffing_overflow_at_large_t_is_blow_up(self):
+        with pytest.raises(BlowUpError) as err:
+            rk4(duffing_problem(100), 100.0)
+        assert 0 <= err.value.step < 100
+
     def test_step_count_validation(self):
         with pytest.raises(ValidationError):
             OdeProblem(t0=0.0, x10=0.0, x20=0.0,
@@ -104,6 +120,18 @@ class TestRk4Dual:
         assert jet.f0 == x1
         assert jet.f1 == x2
         assert jet.f2 == problem.rhs2(t, x1, x2)
+
+    def test_overflow_at_end_state_is_blow_up(self):
+        # x1 = t^3 exactly; every RK4 stage state has x1 <= 0.75, where
+        # exp(800 x1) is finite, but the end state has x1 = 1.
+        problem = OdeProblem(t0=0.0, x10=0.0, x20=0.0,
+                             rhs1=lambda t, x1, x2: 3.0 * t * t,
+                             rhs2=lambda t, x1, x2: math.exp(800.0 * x1),
+                             num_steps=1)
+        assert rk4(problem, 1.0)[0] == 1.0
+        with pytest.raises(BlowUpError) as err:
+            rk4dual(problem, variable(1.0))
+        assert err.value.step == 0
 
     def test_constant_time_has_zero_derivatives(self):
         jet = rk4dual(duffing_problem(100), constant(1.0))

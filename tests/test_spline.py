@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from dualnum import (
+    DivergenceError,
     NoExtremumError,
+    NumericalError,
     OutOfRangeError,
     SingularDerivativeError,
     SplineData,
@@ -19,6 +21,7 @@ from dualnum import (
     variable,
 )
 from dualnum import fixtures
+from dualnum import spline as spline_module
 from dualnum.reference import Tridiagonal, usmani_inverse
 
 
@@ -33,6 +36,22 @@ def random_data(rng, n):
     while np.min(np.diff(x)) < 1e-3:
         x = np.sort(rng.uniform(-5.0, 5.0, n))
     return SplineData(x, rng.uniform(-1.0, 1.0, n))
+
+
+def jittered_model(rng, n, peaked, jitter):
+    """Spline on n knots, each gap within ``jitter`` of the mean gap:
+    concave with one interior maximum, or monotone and convex."""
+    gaps = rng.uniform(1.0 - jitter, 1.0 + jitter, n - 1)
+    span = rng.uniform(1.0, 20.0)
+    x = rng.uniform(0.5, 5.0) + np.concatenate(([0.0], np.cumsum(gaps))) * (
+        span / gaps.sum())
+    if peaked:
+        u = (x - x[0] - span * rng.uniform(0.3, 0.7)) / (
+            span * rng.uniform(0.6, 1.0))
+        y = 1.0 - u * u - 0.2 * u ** 4
+    else:
+        y = np.exp(rng.uniform(0.5, 3.0) * (x - x[0]) / span)
+    return build_spline(SplineData(x, y))
 
 
 class TestValidation:
@@ -178,6 +197,12 @@ class TestEvalDual:
         assert g.f0 == pytest.approx(0.5272, abs=1e-4)
         assert g.f1 == pytest.approx(0.2097, abs=1e-4)
 
+    def test_out_of_range_message(self, model):
+        with pytest.raises(OutOfRangeError) as err:
+            eval_dual(model, variable(0.99))
+        assert str(err.value) == (
+            "x = 0.99 outside data range [1.0, 3.0] (no extrapolation)")
+
     def test_out_of_range(self, model):
         with pytest.raises(OutOfRangeError):
             eval_dual(model, variable(0.99))
@@ -215,6 +240,129 @@ class TestEvalDual:
                 1e-6 * max(1.0, abs(v.f1))
             assert abs(v.f2 - central_diff(value, x, 2)) <= \
                 1e-4 * max(1.0, abs(v.f2))
+
+
+def numpy_lookup_eval(model, x):
+    """eval_dual written with np.searchsorted and numpy-scalar reads, as
+    before the knot lookup read plain floats."""
+    knots = model.data.x
+    i = int(np.searchsorted(knots, x.f0, side="right")) - 1
+    i = min(max(i, 0), len(model.data) - 2)
+    h = float(knots[i + 1] - knots[i])
+    t = (x - float(knots[i])) * (1.0 / h)
+    return ((t * float(model.d[i]) + float(model.c[i])) * t
+            + float(model.b[i])) * t + float(model.a[i])
+
+
+class TestLookupEdges:
+    def test_knots_and_end_ulps_match_numpy_lookup(self):
+        # Interior knots take their right-hand segment, the last knot the
+        # final segment at t = 1, one ulp inside an end its edge segment.
+        rng = np.random.RandomState(23)
+        for n in (2, 3, 9, 40):
+            model = jittered_model(rng, n, peaked=True, jitter=0.4)
+            knots = [float(k) for k in model.data.x]
+            lo, hi = knots[0], knots[-1]
+            points = knots + [math.nextafter(lo, hi), math.nextafter(hi, lo)]
+            for p in points:
+                for xd in (variable(p), variable(p) * 2.0 - p):
+                    assert repr(eval_dual(model, xd)) == repr(
+                        numpy_lookup_eval(model, xd))
+
+
+def fifty_step_root(model, x0):
+    """find_derivative_root before its early exit: always 50 Newton steps.
+
+    Returns the last iterate and the number of range escapes.
+    """
+    knots = model.data.x
+    lo, hi = float(knots[0]), float(knots[-1])
+    inner_lo = lo + 0.5 * float(knots[1] - knots[0])
+    inner_hi = hi - 0.5 * float(knots[-1] - knots[-2])
+    x = min(max(float(x0), inner_lo), inner_hi)
+    escapes = 0
+    for _ in range(50):
+        v = eval_dual(model, variable(x))
+        if v.f2 == 0.0:
+            raise SingularDerivativeError("second derivative vanished")
+        nxt = x - v.f1 / v.f2
+        if not math.isfinite(nxt):
+            raise DivergenceError("non-finite iterate")
+        if nxt < lo or nxt > hi:
+            escapes += 1
+            if escapes >= 2:
+                raise NoExtremumError("left the data range twice")
+            nxt = min(max(nxt, inner_lo), inner_hi)
+        x = nxt
+    return x, escapes
+
+
+def newton_step(model, x):
+    v = eval_dual(model, variable(x))
+    return x - v.f1 / v.f2
+
+
+class TestDerivativeRootEarlyExit:
+    def test_same_result_as_fifty_steps(self):
+        rng = np.random.RandomState(17)
+        seen = set()
+        for i in range(60):
+            peaked = i % 3 != 0
+            jitter = 0.4 if i % 2 else 0.0
+            model = jittered_model(rng, int(rng.randint(9, 65)), peaked,
+                                   jitter)
+            knots = model.data.x
+            for x0 in (knots[0], knots[-1], knots[len(knots) // 2],
+                       rng.uniform(knots[0], knots[-1])):
+                try:
+                    want, escapes = fifty_step_root(model, x0)
+                except NumericalError as exc:
+                    with pytest.raises(type(exc)):
+                        find_derivative_root(model, x0)
+                    seen.add(type(exc).__name__)
+                    continue
+                assert find_derivative_root(model, x0) == want
+                fixed = newton_step(model, want) == want
+                seen.add((peaked, jitter, escapes, fixed))
+        assert "NoExtremumError" in seen
+        # converged without escaping on even, peaked and uneven knots
+        assert (True, 0.0, 0, True) in seen
+        assert (True, 0.4, 0, True) in seen
+        # escaped once, was clamped back, then converged
+        assert any(k[2:] == (1, True) for k in seen if isinstance(k, tuple))
+        # an unconverged cycle still returns the 50th iterate
+        assert any(k[3] is False for k in seen if isinstance(k, tuple))
+
+    def test_clamp_onto_iterate_still_counts_as_escape(self):
+        # From the left end the start is clamped to inner_lo; the first
+        # step leaves the range and is clamped back onto inner_lo itself,
+        # so the clamped step equals its input.  That must count as an
+        # escape: the second one raises.
+        x = np.linspace(0.0, 2.0, 11)
+        model = build_spline(SplineData(x, np.exp(x)))
+        assert newton_step(model, 0.1) < 0.0
+        with pytest.raises(NoExtremumError):
+            fifty_step_root(model, 0.0)
+        with pytest.raises(NoExtremumError):
+            find_derivative_root(model, 0.0)
+
+    def test_evaluation_count(self, monkeypatch):
+        # The fixed-point exit is what makes the search cheap: a search
+        # that converges in a few steps must not go on to 50.
+        model = build_spline(fixtures.radiometry_fixture())
+        knots = model.data.x
+        calls = []
+
+        def counting_eval(m, x):
+            calls.append(x.f0)
+            return eval_dual(m, x)
+
+        monkeypatch.setattr(spline_module, "eval_dual", counting_eval)
+        for start in (float(knots[len(knots) // 2]), float(knots[2])):
+            calls.clear()
+            peak = find_derivative_root(model, start)
+            assert len(calls) <= 10
+            assert peak == fifty_step_root(model, start)[0]
 
 
 class TestDerivativeRoot:
