@@ -14,7 +14,6 @@ from dualnum import (
     eval_dual,
     find_derivative_root,
     sin,
-    tinv_entry,
     variable,
 )
 from dualnum.fixtures import (
@@ -23,7 +22,7 @@ from dualnum.fixtures import (
     radiometry_fixture,
     radiometry_peak_frequency,
 )
-from dualnum.reference import Tridiagonal, usmani_inverse
+from dualnum.reference import Tridiagonal, tinv_entry, usmani_inverse
 
 model = build_spline(ln_sample_data())
 xd = variable(1.75)
@@ -45,7 +44,8 @@ print("T^-1[3,5] closed form  ", tinv_entry(n, 3, 5))
 print("T^-1[3,5] recurrences  ", usmani_inverse(tri)[2, 4])
 
 # peak-location pipeline: spline an amplitude curve, find the zero of its
-# derivative with Newton on the dual components, convert to diffusivity
+# derivative (closed-form roots of each segment's slope quadratic, the one
+# nearest the start wins), convert to diffusivity
 curve = build_spline(radiometry_fixture())
 start = float(curve.data.x[len(curve.data) // 2])
 peak = find_derivative_root(curve, start)

@@ -8,13 +8,14 @@ that have no closed form:
 - :mod:`dualnum.rootfind`: Newton-Raphson / Halley root finding that
   returns an implicitly defined ``u(x)`` with its derivatives,
 - :mod:`dualnum.spline`: natural cubic spline interpolation evaluated
-  on dual arguments (plus a closed-form tridiagonal inverse),
+  on dual arguments,
 - :mod:`dualnum.ode`: fixed-step RK4 integration whose solution
   composes with arbitrary dual expressions.
 
 :mod:`dualnum.reference` holds independent oracles (finite differences,
 Jordan-block polynomial derivatives, truncated Taylor jets, the general
-tridiagonal inverse) used to cross-check everything else.
+and the closed-form tridiagonal inverses) used to cross-check everything
+else.
 """
 
 from .core import (
@@ -40,8 +41,6 @@ from .errors import (
     NumericalError,
     OutOfRangeError,
     SingularDerivativeError,
-    SingularMatrixError,
-    UnsupportedSizeError,
     ValidationError,
 )
 from .ode import OdeProblem, duffing_problem, rk4, rk4dual
@@ -53,7 +52,6 @@ from .spline import (
     diffusivity,
     eval_dual,
     find_derivative_root,
-    tinv_entry,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +76,6 @@ __all__ = [
     "SplineModel",
     "build_spline",
     "eval_dual",
-    "tinv_entry",
     "find_derivative_root",
     "diffusivity",
     "OdeProblem",
@@ -87,7 +84,6 @@ __all__ = [
     "duffing_problem",
     "ValidationError",
     "OutOfRangeError",
-    "UnsupportedSizeError",
     "NumericalError",
     "DomainError",
     "SingularDerivativeError",
@@ -95,5 +91,4 @@ __all__ = [
     "NonConvergenceError",
     "NoExtremumError",
     "BlowUpError",
-    "SingularMatrixError",
 ]

@@ -166,9 +166,8 @@ class Dual3:
         return _mk(q0, q1, (0.0 - 2.0 * q1 * b1 - q0 * self.f2) / b0)
 
     def __neg__(self) -> "Dual3":
-        # the "neg" elemental's compose expression with its jet
-        # {-g0, -1, 0} folded in: f2 is 0*g1*g1 - g2, which is +0.0, not
-        # -0.0, when g2 is zero
+        # compose with the jet {-g0, -1, 0} folded in: f2 is
+        # 0*g1*g1 - g2, which is +0.0, not -0.0, when g2 is zero
         g1 = self.f1
         return _mk(-self.f0, -g1, 0.0 * g1 * g1 - self.f2)
 
@@ -305,7 +304,6 @@ ELEMENTALS: dict = {
              lambda x: -0.25 / (x * math.sqrt(x)),
              _require_positive("sqrt")),
     "abs": (abs, _sign, lambda x: 0.0, _abs_check),
-    "neg": (lambda x: -x, lambda x: -1.0, lambda x: 0.0, None),
 }
 
 

@@ -14,10 +14,6 @@ class OutOfRangeError(ValidationError):
     """Evaluation point lies outside the supported interval."""
 
 
-class UnsupportedSizeError(ValidationError):
-    """Problem size exceeds what the algorithm can evaluate safely."""
-
-
 class NumericalError(ArithmeticError):
     """Base class for runtime numerical failures."""
 
@@ -48,7 +44,7 @@ class NonConvergenceError(NumericalError):
 
 
 class NoExtremumError(NumericalError):
-    """Derivative root search left the data range repeatedly."""
+    """The spline's slope has no zero in the data range."""
 
 
 class BlowUpError(NumericalError):
@@ -57,7 +53,3 @@ class BlowUpError(NumericalError):
     def __init__(self, message: str, step: int = 0):
         super().__init__(message)
         self.step = step
-
-
-class SingularMatrixError(NumericalError):
-    """Matrix inverse requested for a singular matrix."""

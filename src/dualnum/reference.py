@@ -2,10 +2,11 @@
 
 Nothing here shares a code path with the dual arithmetic: derivatives
 come from central differences, from polynomial evaluation on a Jordan
-block, from truncated Taylor convolution, or from the two-sided
-theta/phi recurrences for a tridiagonal inverse.  The test suite plays
-these against the main modules; :class:`Dual3` appears only in the
-exact conversions to and from :class:`TaylorJet`.
+block, from truncated Taylor convolution, from the two-sided theta/phi
+recurrences for a tridiagonal inverse, or from the closed-form inverse
+of the spline's knot-slope matrix.  The test suite plays these against
+the main modules; :class:`Dual3` appears only in the exact conversions
+to and from :class:`TaylorJet`.
 """
 
 from __future__ import annotations
@@ -17,16 +18,31 @@ from typing import Callable
 import numpy as np
 
 from .core import Dual3
-from .errors import (
-    NumericalError,
-    SingularMatrixError,
-    UnsupportedSizeError,
-    ValidationError,
-)
+from .errors import NumericalError, ValidationError
 
 _EPS = float(np.finfo(float).eps)
 
 MAX_USMANI_SIZE = 200
+
+_SQRT3 = math.sqrt(3.0)
+_ALPHA = 2.0 + _SQRT3
+_ALPHA_CONJ = 2.0 - _SQRT3
+_BETA = 2.0 * _SQRT3 + 3.0
+_BETA_CONJ = 2.0 * _SQRT3 - 3.0
+_LN_ALPHA = math.log(_ALPHA)
+_LN_ALPHA_CONJ = math.log(_ALPHA_CONJ)
+_LN_RATIO = _LN_ALPHA_CONJ - _LN_ALPHA
+
+# alpha**n overflows the exp/log evaluation beyond this size.
+MAX_CLOSED_FORM_SIZE = 500
+
+
+class UnsupportedSizeError(ValidationError):
+    """Problem size exceeds what an oracle can evaluate safely."""
+
+
+class SingularMatrixError(NumericalError):
+    """Matrix inverse requested for a singular matrix."""
 
 
 def central_diff(f: Callable[[float], float], x: float, order: int) -> float:
@@ -160,6 +176,35 @@ def usmani_inverse(m: Tridiagonal) -> np.ndarray:
             sign = 1.0 if (i + j) % 2 == 0 else -1.0
             inv[i - 1, j - 1] = sign * prod * theta[j - 1] * phi[i + 1] / theta[n]
     return inv
+
+
+def tinv_entry(n: int, s: int, k: int) -> float:
+    """Entry ``(s, k)`` of the inverse of the n-by-n knot-slope matrix.
+
+    The matrix is the spline's ``T``: diagonal ``2, 4, ..., 4, 2`` and unit
+    off-diagonals.  Closed form in the constants ``alpha = 2 + sqrt(3)``
+    and conjugates, evaluated through exp/log so no intermediate power
+    overflows; the symmetry of the matrix reduces ``s > k`` to the
+    transposed entry.  Indices are 1-based.
+    """
+    if n < 2:
+        raise ValidationError(f"matrix size must be >= 2, got {n}")
+    if n > MAX_CLOSED_FORM_SIZE:
+        raise UnsupportedSizeError(
+            f"closed-form inverse supports n <= {MAX_CLOSED_FORM_SIZE}, got {n}"
+        )
+    if not (1 <= s <= n and 1 <= k <= n):
+        raise ValidationError(f"indices ({s}, {k}) out of range for n = {n}")
+    if s > k:
+        s, k = k, s
+    sign = 1.0 if (s + k) % 2 == 0 else -1.0
+    lead = 0.5 * (1.0 + math.exp((s - 1) * _LN_RATIO))
+    denom = _BETA_CONJ - math.exp(n * _LN_RATIO) * _BETA
+    bracket = (
+        _ALPHA * math.exp((k + 1) * _LN_ALPHA_CONJ + (s - 1) * _LN_ALPHA)
+        + _ALPHA_CONJ * math.exp((s + k) * _LN_ALPHA + n * _LN_RATIO)
+    )
+    return sign * lead * bracket / denom
 
 
 @dataclass(frozen=True)

@@ -73,17 +73,17 @@ def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
     x_const = constant(g.f0)
     u = float(cfg.u0)
 
-    converged = False
-    for k in range(cfg.max_iters):
-        fd = F(variable(u), x_const)
+    # One evaluation per iterate: the last one serves the tolerance test
+    # and gives the settle phase its slope.
+    fd = F(variable(u), x_const)
+    for k in range(cfg.max_iters + 1):
         resid = fd.f0
-        if not (math.isfinite(u) and math.isfinite(resid)):
+        if not math.isfinite(resid):
             raise DivergenceError(
-                f"non-finite iterate after {k} iterations (u={u}, F={resid})",
+                f"non-finite residual after {k} iterations (u={u}, F={resid})",
                 iterations=k,
             )
-        if cfg.tol > 0.0 and abs(resid) <= cfg.tol:
-            converged = True
+        if k == cfg.max_iters or (cfg.tol > 0.0 and abs(resid) <= cfg.tol):
             break
         fu = fd.f1
         if fu == 0.0:
@@ -99,28 +99,21 @@ def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
                     f"Halley denominator vanished at iterate {k} (u={u})"
                 )
             u = u - 2.0 * resid * fu / denom
-
-    if not math.isfinite(u):
-        raise DivergenceError(
-            f"non-finite iterate after {cfg.max_iters} iterations (u={u})",
-            iterations=cfg.max_iters,
-        )
-    if cfg.tol > 0.0 and not converged:
-        resid = F(variable(u), x_const).f0
-        if not math.isfinite(resid):
+        if not math.isfinite(u):
             raise DivergenceError(
-                f"non-finite residual after {cfg.max_iters} iterations",
-                iterations=cfg.max_iters,
+                f"non-finite iterate after {k + 1} iterations (u={u})",
+                iterations=k + 1,
             )
-        if abs(resid) > cfg.tol:
-            raise NonConvergenceError(
-                f"|F| = {abs(resid):.3e} > tol = {cfg.tol:.3e} "
-                f"after {cfg.max_iters} iterations",
-                residual=resid,
-            )
+        fd = F(variable(u), x_const)
+    if cfg.tol > 0.0 and abs(resid) > cfg.tol:
+        raise NonConvergenceError(
+            f"|F| = {abs(resid):.3e} > tol = {cfg.tol:.3e} "
+            f"after {cfg.max_iters} iterations",
+            residual=resid,
+        )
 
     # Settle phase: two dual passes with the slope pinned at the root.
-    slope = F(variable(u), x_const).f1
+    slope = fd.f1
     if not math.isfinite(slope):
         raise DivergenceError(f"non-finite dF/du at the root u={u}")
     if slope == 0.0:

@@ -7,15 +7,15 @@ solve the symmetric tridiagonal system ``T D = R`` with diagonal
 centred differences of the ordinates.  Natural ends mean zero second
 derivative (in ``t``) at both ends of the parameterisation.
 
-The system is solved by O(n) banded elimination.  Independently,
-:func:`tinv_entry` evaluates each entry of ``T^{-1}`` from a closed form
-built on the constants ``alpha = 2 + sqrt(3)`` and its conjugate; the
-two routes cross-validate each other in the test suite.
+The system is solved by O(n) banded elimination;
+:func:`dualnum.reference.tinv_entry` gives ``T^{-1}`` in closed form as an
+independent check.
 
-Note on smoothness in ``x``: the construction is C2 in the segment
-parameter ``t``.  Mapped to ``x``, second-derivative continuity across
-knots holds only for uniformly spaced abscissae; value and first
-derivative are continuous for any spacing.
+Smoothness in ``x``: the construction is C2 in the segment parameter
+``t``.  Mapped to ``x`` it is C0 for any spacing.  The x-slope at knot
+``i`` is ``D_i / h`` with ``h`` the width of the segment it is read
+from, so on unevenly spaced knots it jumps at the knot but keeps its
+sign.  C1 and C2 in ``x`` hold for uniformly spaced knots.
 """
 
 from __future__ import annotations
@@ -26,31 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .core import Dual3, variable
+from .core import Dual3
 from .errors import (
-    DivergenceError,
     NoExtremumError,
     OutOfRangeError,
     SingularDerivativeError,
-    UnsupportedSizeError,
     ValidationError,
 )
-
-_SQRT3 = math.sqrt(3.0)
-_ALPHA = 2.0 + _SQRT3
-_ALPHA_CONJ = 2.0 - _SQRT3
-_BETA = 2.0 * _SQRT3 + 3.0
-_BETA_CONJ = 2.0 * _SQRT3 - 3.0
-_LN_ALPHA = math.log(_ALPHA)
-_LN_ALPHA_CONJ = math.log(_ALPHA_CONJ)
-_LN_RATIO = _LN_ALPHA_CONJ - _LN_ALPHA
-
-# alpha**n overflows the exp/log evaluation beyond this size.
-MAX_CLOSED_FORM_SIZE = 500
-
-# Newton steps taken by find_derivative_root: at most 50 steps; stops when
-# a step returns its input.
-DERIVATIVE_ROOT_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -157,78 +139,61 @@ def eval_dual(model: SplineModel, x: Dual3) -> Dual3:
             + model.b.item(i)) * t + model.a.item(i)
 
 
-def tinv_entry(n: int, s: int, k: int) -> float:
-    """Entry ``(s, k)`` of the inverse of the n-by-n knot-slope matrix.
-
-    Closed form in the constants ``alpha = 2 + sqrt(3)`` and conjugates,
-    evaluated through exp/log so no intermediate power overflows; the
-    symmetry of the matrix reduces ``s > k`` to the transposed entry.
-    Indices are 1-based.
-    """
-    if n < 2:
-        raise ValidationError(f"matrix size must be >= 2, got {n}")
-    if n > MAX_CLOSED_FORM_SIZE:
-        raise UnsupportedSizeError(
-            f"closed-form inverse supports n <= {MAX_CLOSED_FORM_SIZE}, got {n}"
-        )
-    if not (1 <= s <= n and 1 <= k <= n):
-        raise ValidationError(f"indices ({s}, {k}) out of range for n = {n}")
-    if s > k:
-        s, k = k, s
-    sign = 1.0 if (s + k) % 2 == 0 else -1.0
-    lead = 0.5 * (1.0 + math.exp((s - 1) * _LN_RATIO))
-    denom = _BETA_CONJ - math.exp(n * _LN_RATIO) * _BETA
-    bracket = (
-        _ALPHA * math.exp((k + 1) * _LN_ALPHA_CONJ + (s - 1) * _LN_ALPHA)
-        + _ALPHA_CONJ * math.exp((s + k) * _LN_ALPHA + n * _LN_RATIO)
-    )
-    return sign * lead * bracket / denom
-
-
 def find_derivative_root(model: SplineModel, x0: float) -> float:
-    """Newton search for a zero of the spline's first derivative.
+    """The zero of the spline's first derivative nearest ``x0``.
 
-    Takes at most ``DERIVATIVE_ROOT_ITERS`` (50) steps
-    ``x <- x - P'(x)/P''(x)`` on the dual components and stops when a
-    step returns its input, since every later step would return it too.
-    Natural ends force ``P'' = 0`` at the exact endpoints, so the start
-    point and any clamped restart are pulled half an edge segment inside
-    the range.
-    A second escape from the data range means no interior extremum.
+    On segment ``i`` the t-slope is the quadratic ``b + 2 c t + 3 d t^2``.
+    It has a zero in ``[0, 1]`` where the knot slopes at the segment's ends
+    differ in sign or one is zero, or where it turns inside the segment
+    (``c (c + 3 d) < 0``) and its value at the turn differs in sign from
+    ``b`` or is zero.  The roots of each such quadratic come from the
+    cancellation-free formula (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., section 1.8); of those with ``t`` in
+    ``[0, 1]`` the one nearest ``x0`` is returned.
     """
     knots = model.data.x
     lo, hi = knots.item(0), knots.item(-1)
     if not (lo <= x0 <= hi):
         raise OutOfRangeError(f"start x = {x0} outside data range [{lo}, {hi}]")
-    inner_lo = lo + 0.5 * float(knots[1] - knots[0])
-    inner_hi = hi - 0.5 * float(knots[-1] - knots[-2])
-    x = min(max(float(x0), inner_lo), inner_hi)
-
-    escapes = 0
-    for _ in range(DERIVATIVE_ROOT_ITERS):
-        v = eval_dual(model, variable(x))
-        if v.f2 == 0.0:
+    slopes, b, c, d = model.slopes, model.b, model.c, model.d
+    crosses = np.flatnonzero(slopes[:-1] * slopes[1:] <= 0.0)
+    # On nearly straight stretches rounding makes c (c + 3 d) < 0 hold on
+    # most segments; keep only the turns where the slope reaches zero.  The
+    # turn is at t = -c / (3 d) in (0, 1), so d is not zero there.
+    turns = np.flatnonzero(c * (c + 3.0 * d) < 0.0)
+    bt, ct = b[turns], c[turns]
+    at_turn = bt - ct * (ct / (3.0 * d[turns]))
+    turns = turns[np.sign(at_turn) != np.sign(bt)]
+    best, best_gap = None, math.inf
+    for i in crosses.tolist() + turns.tolist():
+        bi, ci, di = b.item(i), c.item(i), d.item(i)
+        if bi == ci == di == 0.0:
             raise SingularDerivativeError(
-                f"second derivative vanished at x = {x}"
-            )
-        nxt = x - v.f1 / v.f2
-        if not math.isfinite(nxt):
-            raise DivergenceError(f"non-finite iterate from x = {x}")
-        # eval_dual is pure, so a step that returns its own input would
-        # return it on every later step.  Test the unclamped step: a step
-        # clamped back onto x is still an escape and must be counted.
-        if nxt == x:
-            break
-        if nxt < lo or nxt > hi:
-            escapes += 1
-            if escapes >= 2:
-                raise NoExtremumError(
-                    "derivative root search left the data range twice; "
-                    "no interior extremum found"
-                )
-            nxt = min(max(nxt, inner_lo), inner_hi)
-        x = nxt
-    return x
+                f"spline slope vanishes on all of segment {i}")
+        # A power-of-two scale keeps c^2 - 3db finite and moves no root.
+        e = math.frexp(max(abs(bi), abs(ci), abs(di)))[1]
+        bi, ci, di = math.ldexp(bi, -e), math.ldexp(ci, -e), math.ldexp(di, -e)
+        # roots of 3d t^2 + 2c t + b, with q = -(c + sign(c) sqrt(c^2 - 3db))
+        if di != 0.0:
+            disc = ci * ci - 3.0 * di * bi
+            if disc < 0.0:
+                continue
+            q = -(ci + math.copysign(math.sqrt(disc), ci))
+            roots = (q / (3.0 * di), bi / q) if q != 0.0 else (0.0,)
+        elif ci != 0.0:
+            roots = (-0.5 * bi / ci,)
+        else:
+            continue
+        k0, k1 = knots.item(i), knots.item(i + 1)
+        for t in roots:
+            if 0.0 <= t <= 1.0:
+                x = min(k0 + t * (k1 - k0), k1)
+                if abs(x - x0) < best_gap:
+                    best, best_gap = x, abs(x - x0)
+    if best is None:
+        raise NoExtremumError("spline slope has no zero in the data range; "
+                              "no interior extremum found")
+    return best
 
 
 def diffusivity(thickness: float, peak_frequency: float) -> float:

@@ -212,7 +212,7 @@ class TestNanTrap:
     def test_neg_matches_registry_route(self):
         for d in (Dual3(1.0, 2.0, 0.0), Dual3(-0.0, -0.0, -0.0),
                   Dual3(3.0, -1.5, 2.5)):
-            assert same_dual(-d, lift_elemental("neg", d))
+            assert same_dual(-d, compose(Dual3(-d.f0, -1.0, 0.0), d))
 
 
 class TestValueSemantics:
@@ -288,7 +288,6 @@ class TestElementals:
         ("log", lambda rng: rng.uniform(0.2, 5.0)),
         ("sqrt", lambda rng: rng.uniform(0.2, 5.0)),
         ("abs", lambda rng: rng.uniform(0.2, 3.0) * rng.choice([-1, 1])),
-        ("neg", lambda rng: rng.uniform(-3, 3)),
     ])
     def test_matches_finite_differences(self, name, sampler):
         rng = np.random.RandomState(42)

@@ -1,6 +1,9 @@
 """Smoke tests: every demo script runs, and every public name resolves."""
 
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,3 +27,17 @@ def test_every_public_name_resolves():
     missing = [name for name in dualnum.__all__ if not hasattr(dualnum, name)]
     assert missing == []
     assert len(set(dualnum.__all__)) == len(dualnum.__all__)
+
+
+def test_import_leaves_reference_unloaded():
+    # the oracles are for verification; importing the library must not
+    # load them
+    src = str(Path(dualnum.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dualnum; print('dualnum.reference' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from dualnum import (
-    SingularMatrixError,
-    UnsupportedSizeError,
-    ValidationError,
-    variable,
-)
+from dualnum import ValidationError, variable
 from dualnum import reference
 from dualnum.reference import (
     MAX_USMANI_SIZE,
+    SingularMatrixError,
     Tridiagonal,
+    UnsupportedSizeError,
     central_diff,
     jordan_poly_derivs,
     usmani_inverse,

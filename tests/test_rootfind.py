@@ -207,6 +207,33 @@ class TestErrors:
             find_root(cfg(1.0, tol=0.0, max_iters=10), explodes, variable(1.0))
         assert err.value.iterations >= 1
 
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    def test_overflowing_step_is_divergence(self, method):
+        # the first step, about -1e450, overflows to -inf
+        def steep_offset(u, x):
+            return 1e-150 * u + constant(1e300) + (x - x)
+
+        with pytest.raises(DivergenceError) as err:
+            find_root(cfg(1.0, method=method, tol=0.0, max_iters=5),
+                      steep_offset, variable(0.5))
+        assert err.value.iterations == 1
+
+    @pytest.mark.parametrize("tol,max_iters,calls", [
+        (1e-12, 10, 2 + 2),  # u0 and the exact root u1, then the settle
+        (0.0, 5, 6 + 2),
+    ])
+    def test_one_residual_call_per_iterate(self, tol, max_iters, calls):
+        seen = []
+
+        def counted(u, x):
+            seen.append(u.f0)
+            return identity_eq(u, x)
+
+        root = find_root(cfg(0.0, tol=tol, max_iters=max_iters), counted,
+                         variable(0.75))
+        assert (root.f0, root.f1, root.f2) == (0.75, 1.0, 0.0)
+        assert len(seen) == calls
+
     def test_non_convergence_carries_residual(self):
         def rootless(u, x):
             return u * u + constant(1.0) + (x - x)

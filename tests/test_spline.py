@@ -4,25 +4,25 @@ import numpy as np
 import pytest
 
 from dualnum import (
-    DivergenceError,
     NoExtremumError,
-    NumericalError,
     OutOfRangeError,
     SingularDerivativeError,
     SplineData,
-    UnsupportedSizeError,
     ValidationError,
     build_spline,
     diffusivity,
     eval_dual,
     find_derivative_root,
     sin,
-    tinv_entry,
     variable,
 )
 from dualnum import fixtures
-from dualnum import spline as spline_module
-from dualnum.reference import Tridiagonal, usmani_inverse
+from dualnum.reference import (
+    Tridiagonal,
+    UnsupportedSizeError,
+    tinv_entry,
+    usmani_inverse,
+)
 
 
 def slope_matrix(n):
@@ -102,7 +102,7 @@ class TestBuild:
             # natural end conditions (second derivative in t)
             assert abs(2.0 * model.c[0]) <= 1e-9
             assert abs(2.0 * model.c[-1] + 6.0 * model.d[-1]) <= 1e-9
-            # C1 continuity across knots: Y_i'(1) == D_{i+1}
+            # C1 continuity in t across knots: Y_i'(1) == D_{i+1}
             left = model.b + 2.0 * model.c + 3.0 * model.d
             assert np.max(np.abs(left - model.slopes[1:])) <= 1e-12
 
@@ -270,40 +270,46 @@ class TestLookupEdges:
                         numpy_lookup_eval(model, xd))
 
 
-def fifty_step_root(model, x0):
-    """find_derivative_root before its early exit: always 50 Newton steps.
-
-    Returns the last iterate and the number of range escapes.
-    """
+def oracle_roots(model):
+    """Every zero of the spline's slope: ``np.roots`` of each segment's
+    t-slope quadratic ``3d t^2 + 2c t + b``, kept where t is real and in
+    [0, 1], mapped to x."""
     knots = model.data.x
-    lo, hi = float(knots[0]), float(knots[-1])
-    inner_lo = lo + 0.5 * float(knots[1] - knots[0])
-    inner_hi = hi - 0.5 * float(knots[-1] - knots[-2])
-    x = min(max(float(x0), inner_lo), inner_hi)
-    escapes = 0
-    for _ in range(50):
-        v = eval_dual(model, variable(x))
-        if v.f2 == 0.0:
-            raise SingularDerivativeError("second derivative vanished")
-        nxt = x - v.f1 / v.f2
-        if not math.isfinite(nxt):
-            raise DivergenceError("non-finite iterate")
-        if nxt < lo or nxt > hi:
-            escapes += 1
-            if escapes >= 2:
-                raise NoExtremumError("left the data range twice")
-            nxt = min(max(nxt, inner_lo), inner_hi)
-        x = nxt
-    return x, escapes
+    xs = []
+    for i in range(len(knots) - 1):
+        coeffs = np.trim_zeros(
+            [3.0 * model.d[i], 2.0 * model.c[i], model.b[i]], "f")
+        for t in np.roots(coeffs):
+            if t.imag == 0.0 and 0.0 <= t.real <= 1.0:
+                xs.append(knots[i] + t.real * (knots[i + 1] - knots[i]))
+    return xs
 
 
-def newton_step(model, x):
-    v = eval_dual(model, variable(x))
-    return x - v.f1 / v.f2
+def slope_scale(model):
+    y, x = model.data.y, model.data.x
+    return float(np.max(y) - np.min(y)) / float(x[-1] - x[0])
 
 
-class TestDerivativeRootEarlyExit:
-    def test_same_result_as_fifty_steps(self):
+def check_against_oracle(model, x0):
+    """The search raises NoExtremumError exactly when the oracle finds no
+    zero; otherwise it returns the oracle zero nearest x0, and the slope
+    there is small.  Returns whether a zero was found."""
+    roots = oracle_roots(model)
+    if not roots:
+        with pytest.raises(NoExtremumError, match="extremum"):
+            find_derivative_root(model, x0)
+        return False
+    got = find_derivative_root(model, x0)
+    want = min(roots, key=lambda r: abs(r - x0))
+    knots = model.data.x
+    assert knots[0] <= got <= knots[-1]
+    assert got == pytest.approx(want, abs=1e-9 * (knots[-1] - knots[0]))
+    assert abs(eval_dual(model, variable(got)).f1) <= 1e-9 * slope_scale(model)
+    return True
+
+
+class TestDerivativeRootSearch:
+    def test_matches_segment_quadratic_roots(self):
         rng = np.random.RandomState(17)
         seen = set()
         for i in range(60):
@@ -314,55 +320,66 @@ class TestDerivativeRootEarlyExit:
             knots = model.data.x
             for x0 in (knots[0], knots[-1], knots[len(knots) // 2],
                        rng.uniform(knots[0], knots[-1])):
-                try:
-                    want, escapes = fifty_step_root(model, x0)
-                except NumericalError as exc:
-                    with pytest.raises(type(exc)):
-                        find_derivative_root(model, x0)
-                    seen.add(type(exc).__name__)
-                    continue
-                assert find_derivative_root(model, x0) == want
-                fixed = newton_step(model, want) == want
-                seen.add((peaked, jitter, escapes, fixed))
-        assert "NoExtremumError" in seen
-        # converged without escaping on even, peaked and uneven knots
-        assert (True, 0.0, 0, True) in seen
-        assert (True, 0.4, 0, True) in seen
-        # escaped once, was clamped back, then converged
-        assert any(k[2:] == (1, True) for k in seen if isinstance(k, tuple))
-        # an unconverged cycle still returns the 50th iterate
-        assert any(k[3] is False for k in seen if isinstance(k, tuple))
+                seen.add((jitter, check_against_oracle(model, float(x0))))
+        # found and not found, on even and on uneven knots
+        assert seen == {(0.0, True), (0.0, False), (0.4, True), (0.4, False)}
 
-    def test_clamp_onto_iterate_still_counts_as_escape(self):
-        # From the left end the start is clamped to inner_lo; the first
-        # step leaves the range and is clamped back onto inner_lo itself,
-        # so the clamped step equals its input.  That must count as an
-        # escape: the second one raises.
-        x = np.linspace(0.0, 2.0, 11)
-        model = build_spline(SplineData(x, np.exp(x)))
-        assert newton_step(model, 0.1) < 0.0
-        with pytest.raises(NoExtremumError):
-            fifty_step_root(model, 0.0)
-        with pytest.raises(NoExtremumError):
-            find_derivative_root(model, 0.0)
+    def test_uneven_knot_peaks_are_found(self):
+        # Peaked data on gaps within 40% of the mean: the x-slope jumps at
+        # every knot, yet the zero must be found from both ends and the
+        # middle.
+        rng = np.random.RandomState(29)
+        for _ in range(40):
+            model = jittered_model(rng, int(rng.randint(9, 65)), True, 0.4)
+            knots = model.data.x
+            for x0 in (knots[0], knots[len(knots) // 2], knots[-1]):
+                assert check_against_oracle(model, float(x0))
 
-    def test_evaluation_count(self, monkeypatch):
-        # The fixed-point exit is what makes the search cheap: a search
-        # that converges in a few steps must not go on to 50.
-        model = build_spline(fixtures.radiometry_fixture())
-        knots = model.data.x
-        calls = []
+    def test_nearest_of_several_zeros(self):
+        x = np.linspace(0.0, 4.0 * math.pi, 41)
+        model = build_spline(SplineData(x, np.sin(x)))
+        for x0, want in ((0.0, 0.5), (4.0, 1.5), (12.5, 3.5)):
+            assert find_derivative_root(model, x0) == pytest.approx(
+                want * math.pi, abs=1e-3)
 
-        def counting_eval(m, x):
-            calls.append(x.f0)
-            return eval_dual(m, x)
+    def test_zeros_inside_one_segment(self):
+        # every knot slope is positive, yet the slope dips below zero and
+        # back inside segment 1: a maximum and a minimum there
+        model = build_spline(SplineData(np.arange(4.0), [0.0, 1.0, 0.98, 2.0]))
+        assert np.all(model.slopes > 0.0)
+        found = {find_derivative_root(model, x0) for x0 in (0.0, 3.0)}
+        assert len(found) == 2 and all(1.0 < r < 2.0 for r in found)
+        for x0 in (0.0, 1.5, 3.0):
+            assert check_against_oracle(model, x0)
 
-        monkeypatch.setattr(spline_module, "eval_dual", counting_eval)
-        for start in (float(knots[len(knots) // 2]), float(knots[2])):
-            calls.clear()
-            peak = find_derivative_root(model, start)
-            assert len(calls) <= 10
-            assert peak == fifty_step_root(model, start)[0]
+    def test_zero_at_the_last_knot_stays_in_range(self):
+        # the slope 3 (1 - t)^2 of the last segment touches zero at t = 1,
+        # where 0.24 + (3.1 - 0.24) rounds to one ulp above 3.1
+        model = build_spline(SplineData([-0.76, 0.24, 3.1], [0.0, 5.0, 6.0]))
+        assert list(model.slopes) == [6.0, 3.0, 0.0]
+        assert 0.24 + (3.1 - 0.24) > 3.1
+        assert find_derivative_root(model, 0.0) == 3.1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_huge_data_gives_the_same_root(self):
+        # The candidate products overflow to +-inf with their signs kept;
+        # the roots come from power-of-two scaled coefficients, so a
+        # power-of-two scale of the data moves no bit of the result.
+        x = np.linspace(0.0, 10.0, 21)
+        y = -(x - 4.3) ** 2
+        model = build_spline(SplineData(x, y))
+        huge = build_spline(SplineData(x, y * 2.0 ** 700))
+        for x0 in (0.0, 10.0):
+            assert find_derivative_root(huge, x0) == find_derivative_root(
+                model, x0)
+
+    def test_zero_slope_at_a_knot(self):
+        # symmetric data: the slope vanishes exactly at the middle knot,
+        # where both neighbouring segments have their zero
+        model = build_spline(SplineData(np.arange(3.0), [0.0, 1.0, 0.0]))
+        assert list(model.slopes) == [1.5, 0.0, -1.5]
+        for x0 in (0.0, 1.0, 2.0):
+            assert find_derivative_root(model, x0) == 1.0
 
 
 class TestDerivativeRoot:
@@ -378,11 +395,13 @@ class TestDerivativeRoot:
         assert find_derivative_root(model, 1.0) == pytest.approx(
             math.pi / 2.0, abs=1e-3)
 
-    def test_monotone_data_has_no_extremum(self):
+    @pytest.mark.parametrize("x0", [0.0, 1.0, 2.0],
+                             ids=["left", "middle", "right"])
+    def test_monotone_data_has_no_extremum(self, x0):
         x = np.linspace(0.0, 2.0, 11)
         model = build_spline(SplineData(x, np.exp(x)))
-        with pytest.raises(NoExtremumError):
-            find_derivative_root(model, 1.0)
+        with pytest.raises(NoExtremumError, match="extremum"):
+            find_derivative_root(model, x0)
 
     def test_flat_data_is_singular(self):
         x = np.linspace(0.0, 2.0, 11)
