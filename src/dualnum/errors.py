@@ -2,8 +2,11 @@
 
 Two roots: :class:`ValidationError` for rejected inputs and
 :class:`NumericalError` for failures that occur while computing.  The CLI
-maps them to exit codes 1 and 2 respectively.
+maps them to exit codes 1 and 2 respectively.  :func:`check_count` is
+the one input check the solvers share.
 """
+
+import operator
 
 
 class ValidationError(ValueError):
@@ -53,3 +56,19 @@ class BlowUpError(NumericalError):
     def __init__(self, message: str, step: int = 0):
         super().__init__(message)
         self.step = step
+
+
+def check_count(name: str, value) -> None:
+    """Raise :class:`ValidationError` unless ``value`` is an integer >= 1.
+
+    Floats such as ``2.5`` are rejected here rather than by ``range`` deep
+    inside a solve; ``bool`` is rejected although it is an ``int``.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if count < 1:
+        raise ValidationError(f"{name} must be >= 1, got {count}")

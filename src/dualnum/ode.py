@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from .core import Dual3, compose
-from .errors import BlowUpError, ValidationError
+from .errors import BlowUpError, ValidationError, check_count
 
 Rhs = Callable[[float, float, float], float]
 
@@ -37,10 +37,7 @@ class OdeProblem:
     num_steps: int
 
     def __post_init__(self):
-        if self.num_steps < 1:
-            raise ValidationError(
-                f"num_steps must be >= 1, got {self.num_steps}"
-            )
+        check_count("num_steps", self.num_steps)
 
 
 def rk4(problem: OdeProblem, t_end: float) -> Tuple[float, float]:

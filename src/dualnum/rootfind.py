@@ -33,6 +33,7 @@ from .errors import (
     NonConvergenceError,
     SingularDerivativeError,
     ValidationError,
+    check_count,
 )
 
 # F~(u~, x~) built from dual operations; must be pure and re-entrant.
@@ -61,8 +62,7 @@ class RootConfig:
             raise ValidationError(f"unknown method {self.method!r}")
         if not math.isfinite(self.u0):
             raise ValidationError(f"u0 must be finite, got {self.u0}")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
+        check_count("max_iters", self.max_iters)
         if not self.tol >= 0.0:
             raise ValidationError("tol must be >= 0")
 

@@ -29,15 +29,34 @@ def test_every_public_name_resolves():
     assert len(set(dualnum.__all__)) == len(dualnum.__all__)
 
 
-def test_import_leaves_reference_unloaded():
-    # the oracles are for verification; importing the library must not
-    # load them
+def fresh_python(code):
+    """stdout of ``python -c code`` in a new interpreter that imports
+    this checkout's dualnum."""
     src = str(Path(dualnum.__file__).parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, dualnum; print('dualnum.reference' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("module", ["dualnum.reference", "scipy"])
+def test_import_leaves_module_unloaded(module):
+    # the oracles are for verification, and scipy serves only splines
+    # above the sweep's cutoff: importing the library loads neither
+    out = fresh_python(
+        f"import sys, dualnum; print({module!r} in sys.modules)")
+    assert out == "False\n"
+
+
+def test_fixture_subcommands_leave_scipy_unloaded():
+    # every bundled fixture spline is small enough for the sweep
+    out = fresh_python(
+        "import contextlib, io, sys\n"
+        "from dualnum import cli\n"
+        "for name in ('nr-example1', 'mechanism', 'spline', 'diffusivity',"
+        " 'duffing'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main([name, '--json', '--check']) == 0, name\n"
+        "print('scipy' in sys.modules)")
+    assert out == "False\n"

@@ -91,6 +91,19 @@ class TestRk4:
                        rhs1=lambda t, x1, x2: x2,
                        rhs2=lambda t, x1, x2: 0.0, num_steps=0)
 
+    @pytest.mark.parametrize(
+        "num_steps", [2.5, 100.0, np.float64(8.0), True, "8", None],
+        ids=["fraction", "whole-float", "numpy-float", "bool", "str", "none"])
+    def test_non_integer_step_count_is_rejected(self, num_steps):
+        # a float count would otherwise fail later, inside range()
+        with pytest.raises(ValidationError, match="num_steps"):
+            oscillator(num_steps)
+        with pytest.raises(ValidationError, match="num_steps"):
+            duffing_problem(num_steps)
+
+    def test_numpy_integer_step_count_is_accepted(self):
+        assert rk4(oscillator(np.int64(8)), 1.0) == rk4(oscillator(8), 1.0)
+
     def test_non_finite_t_end(self):
         with pytest.raises(ValidationError):
             rk4(oscillator(10), float("inf"))

@@ -64,6 +64,19 @@ class TestConfig:
         with pytest.raises(ValidationError):
             RootConfig(u0=float("nan"))
 
+    @pytest.mark.parametrize(
+        "max_iters", [2.5, 3.0, np.float64(3.0), True, "3", None],
+        ids=["fraction", "whole-float", "numpy-float", "bool", "str", "none"])
+    def test_non_integer_max_iters_is_rejected(self, max_iters):
+        # a float count would otherwise fail later, inside range()
+        with pytest.raises(ValidationError, match="max_iters"):
+            RootConfig(u0=1.0, max_iters=max_iters)
+
+    def test_numpy_integer_max_iters_is_accepted(self):
+        u = find_root(cfg(2.0, max_iters=np.int64(3), tol=0.0), identity_eq,
+                      variable(1.5))
+        assert u.f0 == 1.5
+
     @pytest.mark.parametrize("equation", ALL_EQUATIONS)
     def test_equations_map_constants_to_constants(self, equation):
         out = equation(constant(1.3), constant(0.9))

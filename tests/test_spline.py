@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dualnum import (
     variable,
 )
 from dualnum import fixtures
+from dualnum.spline import _SWEEP_MAX_KNOTS, _sweep
 from dualnum.reference import (
     Tridiagonal,
     UnsupportedSizeError,
@@ -29,6 +31,14 @@ def slope_matrix(n):
     full = np.diag([2.0] + [4.0] * (n - 2) + [2.0])
     full += np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
     return full
+
+
+def slope_rhs(y):
+    rhs = np.empty(len(y))
+    rhs[0] = 3.0 * (y[1] - y[0])
+    rhs[-1] = 3.0 * (y[-1] - y[-2])
+    rhs[1:-1] = 3.0 * (y[2:] - y[:-2])
+    return rhs
 
 
 def random_data(rng, n):
@@ -66,6 +76,37 @@ class TestValidation:
     def test_non_finite(self):
         with pytest.raises(ValidationError):
             SplineData(np.array([0.0, np.inf]), np.array([0.0, 1.0]))
+
+    def test_caller_array_stays_writable_and_unshared(self):
+        x, y = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5)
+        data = SplineData(x, y)
+        assert x.flags.writeable and y.flags.writeable
+        x[1] = 5.0
+        assert data.x[1] == 0.25
+        assert not data.x.flags.writeable
+
+    def test_buffer_edit_does_not_reach_a_built_model(self):
+        xa = array("d", [0.0, 0.25, 0.5, 0.75, 1.0])
+        ya = array("d", [0.0, 1.0, 0.0, 1.0, 0.0])
+        data = SplineData(xa, ya)
+        model = build_spline(data)
+        before = eval_dual(model, variable(0.6))
+        xa[1] = 5.0  # would break the strictly increasing check
+        ya[2] = 9.0
+        assert list(data.x) == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert list(data.y) == [0.0, 1.0, 0.0, 1.0, 0.0]
+        after = eval_dual(model, variable(0.6))
+        assert (after.f0, after.f1, after.f2) == (
+            before.f0, before.f1, before.f2)
+
+    @pytest.mark.parametrize("n", [3, _SWEEP_MAX_KNOTS + 1],
+                             ids=["sweep", "banded"])
+    def test_overflowing_differences_are_rejected(self, n):
+        y = np.where(np.arange(n) % 2 == 0, 1e308, -1e308)
+        data = SplineData(np.arange(float(n)), y)
+        # no overflow warning either: the suite turns warnings into errors
+        with pytest.raises(ValidationError, match="overflow"):
+            build_spline(data)
 
 
 class TestBuild:
@@ -116,6 +157,53 @@ class TestBuild:
             assert v.f2 == pytest.approx(0.0, abs=1e-10)
 
 
+class TestSweepMatchesBandedSolve:
+    # Bitwise equality assumes a dgtsv compiled without fused multiply-add
+    # contraction, as in x86-64 OpenBLAS builds; the sweep's own rounding
+    # does not depend on the platform.
+    # sizes up to two past the cutoff, where the sweep hands over to
+    # solve_banded, and a few well above it
+    SIZES = list(range(2, _SWEEP_MAX_KNOTS + 3)) + [160, 257, 1000]
+
+    @staticmethod
+    def banded_solve(rhs):
+        from scipy.linalg import solve_banded
+
+        n = len(rhs)
+        banded = np.zeros((3, n))
+        banded[0, 1:] = 1.0
+        banded[1, :] = 4.0
+        banded[1, 0] = banded[1, -1] = 2.0
+        banded[2, :-1] = 1.0
+        return solve_banded((1, 1), banded, rhs)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_slope_bits_equal_solve_banded(self, scale):
+        rng = np.random.RandomState(23)
+        for n in self.SIZES:
+            x = np.arange(float(n))
+            y = rng.uniform(-1.0, 1.0, n) * scale
+            # mostly +-0: the sign of every zero slope must match too
+            signed_zeros = np.where(rng.rand(n) < 0.5, -0.0, 0.0)
+            sparse = np.where(rng.rand(n) < 0.8, signed_zeros, y)
+            for ys in (y, sparse, signed_zeros):
+                got = build_spline(SplineData(x, ys)).slopes
+                want = self.banded_solve(slope_rhs(ys))
+                assert got.tobytes() == want.tobytes(), n
+
+    def test_sweep_bits_on_any_right_hand_side(self):
+        # Right-hand sides no ordinates produce, such as -0, +0, -0 in
+        # the last three rows, reach dgtsv's zeroed DL(i) r[i + 2] term.
+        rng = np.random.RandomState(31)
+        for n in range(2, _SWEEP_MAX_KNOTS + 1):
+            signed_zeros = np.where(rng.rand(n) < 0.5, -0.0, 0.0)
+            mixed = np.where(rng.rand(n) < 0.8, signed_zeros,
+                             rng.uniform(-1.0, 1.0, n))
+            for rhs in (signed_zeros, mixed):
+                got = np.array(_sweep(rhs.tolist()))
+                assert got.tobytes() == self.banded_solve(rhs).tobytes(), n
+
+
 class TestClosedFormInverse:
     def test_two_by_two_entries(self):
         assert tinv_entry(2, 1, 1) == pytest.approx(2.0 / 3.0, abs=1e-14)
@@ -147,15 +235,13 @@ class TestClosedFormInverse:
             assert np.max(np.abs(general - closed)) <= 1e-10
 
     def test_slopes_match_closed_form_solution(self):
+        # sizes on both sides of the sweep's cutoff, up to the closed
+        # form's limit of 500; the slopes depend on the ordinates alone
         rng = np.random.RandomState(5)
-        for n in range(2, 101):
-            data = random_data(rng, n)
+        for n in list(range(2, 101)) + [256, 500]:
+            data = SplineData(np.arange(float(n)), rng.uniform(-1.0, 1.0, n))
             model = build_spline(data)
-            rhs = np.empty(n)
-            rhs[0] = 3.0 * (data.y[1] - data.y[0])
-            rhs[-1] = 3.0 * (data.y[-1] - data.y[-2])
-            if n > 2:
-                rhs[1:-1] = 3.0 * (data.y[2:] - data.y[:-2])
+            rhs = slope_rhs(data.y)
             inv = np.array([[tinv_entry(n, s, k) for k in range(1, n + 1)]
                             for s in range(1, n + 1)])
             assert np.max(np.abs(inv @ rhs - model.slopes)) <= 1e-9
@@ -360,11 +446,11 @@ class TestDerivativeRootSearch:
         assert 0.24 + (3.1 - 0.24) > 3.1
         assert find_derivative_root(model, 0.0) == 3.1
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_huge_data_gives_the_same_root(self):
-        # The candidate products overflow to +-inf with their signs kept;
-        # the roots come from power-of-two scaled coefficients, so a
-        # power-of-two scale of the data moves no bit of the result.
+        # The candidate products overflow to +-inf with their signs kept,
+        # silently (warnings are errors in this suite); the roots come
+        # from power-of-two scaled coefficients, so a power-of-two scale
+        # of the data moves no bit of the result.
         x = np.linspace(0.0, 10.0, 21)
         y = -(x - 4.3) ** 2
         model = build_spline(SplineData(x, y))
