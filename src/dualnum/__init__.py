@@ -20,12 +20,10 @@ else.
 
 from .core import (
     Dual3,
-    ELEMENTALS,
     compose,
     constant,
     cos,
     exp,
-    lift_elemental,
     log,
     sin,
     sqrt,
@@ -58,11 +56,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dual3",
-    "ELEMENTALS",
     "variable",
     "constant",
     "compose",
-    "lift_elemental",
     "sin",
     "cos",
     "tan",

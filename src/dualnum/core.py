@@ -10,21 +10,22 @@ or cancellation error of finite differences.
 The components are derivative-valued: ``f2`` stores ``f''`` itself, not
 the Taylor coefficient ``f''/2``.
 
-The whole chain rule lives in :func:`compose`:
+The whole chain rule lives in one private helper, ``_chain``:
 
-    compose({f, f', f''} at g0, {g0, g1, g2}) = {f, f'*g1, f''*g1**2 + f'*g2}
+    chain({f, f', f''} at g0, {g0, g1, g2}) = {f, f'*g1, f''*g1**2 + f'*g2}
 
-Every dualized algorithm funnels through it, and every elemental lift
-evaluates the same expression inline.
+:func:`compose` applies it to a jet given as a :class:`Dual3`, which is
+also how a user-defined elemental is applied; each built-in elemental
+(``sin`` ... ``sqrt`` and ``abs``) is a plain float function returning
+its jet, and unary minus is the jet ``{-g0, -1, 0}``.
 
 Operations build their results through one unchecked internal
 constructor, and the NaN check runs there, once on each result rather
 than on each operand.  Under IEEE arithmetic a NaN operand always gives
 a NaN result, so an operation that receives or produces a NaN component
 raises :class:`~dualnum.errors.DomainError`.  The operands whose NaN
-need not reach the result, ``g.f0`` in :func:`compose` and
-:func:`lift_elemental` and the base of ``x ** 0``, are checked
-explicitly.
+need not reach the result, ``g.f0`` in the chain rule and the base of
+``x ** 0``, are checked explicitly.
 """
 
 from __future__ import annotations
@@ -166,13 +167,11 @@ class Dual3:
         return _mk(q0, q1, (0.0 - 2.0 * q1 * b1 - q0 * self.f2) / b0)
 
     def __neg__(self) -> "Dual3":
-        # compose with the jet {-g0, -1, 0} folded in: f2 is
-        # 0*g1*g1 - g2, which is +0.0, not -0.0, when g2 is zero
-        g1 = self.f1
-        return _mk(-self.f0, -g1, 0.0 * g1 * g1 - self.f2)
+        # the jet of -x: f2 is 0*g1*g1 - g2, +0.0 when g2 is zero
+        return _chain(-self.f0, -1.0, 0.0, self)
 
     def __abs__(self) -> "Dual3":
-        return lift_elemental("abs", self)
+        return _lift("abs", _abs, self)
 
     def __pow__(self, exponent) -> "Dual3":
         # checked up front: x ** 0 returns a constant whatever x holds
@@ -246,107 +245,101 @@ def constant(c: Number) -> Dual3:
     return _mk(float(c), 0.0, 0.0)
 
 
+def _chain(j0: float, j1: float, j2: float, g: Dual3) -> Dual3:
+    """The chain rule: ``{j0, j1, j2}`` is ``f``'s jet at ``g.f0``."""
+    # g.f0 does not reach the result, so its NaN is checked here
+    if g.f0 != g.f0:
+        raise DomainError(f"NaN component in dual operand {g!r}")
+    g1 = g.f1
+    return _mk(j0, j1 * g1, j2 * g1 * g1 + j1 * g.f2)
+
+
 def compose(f_jet_at_g0: Dual3, g: Dual3) -> Dual3:
     """Chain rule for second-order jets.
 
     ``f_jet_at_g0`` must hold ``{f(g0), f'(g0), f''(g0)}`` with
     ``g0 == g.f0`` (the caller guarantees the evaluation point).  Returns
     the jet of ``f(g(.))`` with respect to the seed carried by ``g``.
+    This is also how a user-defined elemental is applied.
     """
-    # g.f0 does not reach the result, so its NaN is checked here
-    if g.f0 != g.f0:
-        raise DomainError(f"NaN component in dual operand {g!r}")
-    g1 = g.f1
-    return _mk(
-        f_jet_at_g0.f0,
-        f_jet_at_g0.f1 * g1,
-        f_jet_at_g0.f2 * g1 * g1 + f_jet_at_g0.f1 * g.f2,
-    )
+    return _chain(f_jet_at_g0.f0, f_jet_at_g0.f1, f_jet_at_g0.f2, g)
 
 
 # -- elemental functions ----------------------------------------------
+# Each jet takes a float x and returns (f(x), f'(x), f''(x)), raising
+# DomainError outside its domain.
 
-def _require_positive(name: str) -> Callable[[float], None]:
-    def check(x: float) -> None:
-        if x <= 0.0:
-            raise DomainError(
-                f"{name} requires argument real part > 0, got {x}"
-            )
-
-    return check
+def _positive(name: str, x: float) -> None:
+    if x <= 0.0:
+        raise DomainError(f"{name} requires argument real part > 0, got {x}")
 
 
-def _abs_check(x: float) -> None:
+def _sin(x: float) -> tuple:
+    return math.sin(x), math.cos(x), -math.sin(x)
+
+
+def _cos(x: float) -> tuple:
+    return math.cos(x), -math.sin(x), -math.cos(x)
+
+
+def _tan(x: float) -> tuple:
+    t, c = math.tan(x), math.cos(x)
+    sec2 = 1.0 / (c * c)
+    return t, sec2, 2.0 * t * sec2
+
+
+def _exp(x: float) -> tuple:
+    e = math.exp(x)
+    return e, e, e
+
+
+def _log(x: float) -> tuple:
+    _positive("log", x)
+    return math.log(x), 1.0 / x, -1.0 / (x * x)
+
+
+def _sqrt(x: float) -> tuple:
+    _positive("sqrt", x)
+    r = math.sqrt(x)
+    return r, 0.5 / r, -0.25 / (x * r)
+
+
+def _abs(x: float) -> tuple:
     if x == 0.0:
         raise DomainError("abs is not differentiable at 0")
+    return abs(x), 1.0 if x > 0.0 else -1.0, 0.0
 
 
-def _sign(x: float) -> float:
-    return 1.0 if x > 0.0 else -1.0
-
-
-def _sec2(x: float) -> float:
-    c = math.cos(x)
-    return 1.0 / (c * c)
-
-
-# name -> (value, first derivative, second derivative, domain check); the
-# three derivative functions take and return floats
-ELEMENTALS: dict = {
-    "sin": (math.sin, math.cos, lambda x: -math.sin(x), None),
-    "cos": (math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x), None),
-    "tan": (math.tan, _sec2, lambda x: 2.0 * math.tan(x) * _sec2(x), None),
-    "exp": (math.exp, math.exp, math.exp, None),
-    "log": (math.log, lambda x: 1.0 / x, lambda x: -1.0 / (x * x),
-            _require_positive("log")),
-    "sqrt": (math.sqrt,
-             lambda x: 0.5 / math.sqrt(x),
-             lambda x: -0.25 / (x * math.sqrt(x)),
-             _require_positive("sqrt")),
-    "abs": (abs, _sign, lambda x: 0.0, _abs_check),
-}
-
-
-def lift_elemental(name: str, g: Dual3) -> Dual3:
-    """Apply the named elemental to a dual argument by :func:`compose`'s rule."""
-    try:
-        value, first, second, check = ELEMENTALS[name]
-    except KeyError:
-        raise ValidationError(f"unknown elemental {name!r}") from None
+def _lift(name: str, jet: Callable[[float], tuple], g: Dual3) -> Dual3:
+    """Apply an elemental's jet to a dual argument by :func:`_chain`."""
     x = g.f0
-    if x != x:
-        raise DomainError(f"NaN component in dual operand {g!r}")
-    if check is not None:
-        check(x)
     try:
-        j0, j1, j2 = value(x), first(x), second(x)
+        # a NaN x passes every domain check and is trapped by _chain
+        j0, j1, j2 = jet(x)
     except (OverflowError, ValueError) as exc:
         raise DomainError(f"{name} failed at real part {x}: {exc}") from None
-    # compose({j0, j1, j2}, g), inline
-    g1 = g.f1
-    return _mk(j0, j1 * g1, j2 * g1 * g1 + j1 * g.f2)
+    return _chain(j0, j1, j2, g)
 
 
 def sin(g: Dual3) -> Dual3:
-    return lift_elemental("sin", g)
+    return _lift("sin", _sin, g)
 
 
 def cos(g: Dual3) -> Dual3:
-    return lift_elemental("cos", g)
+    return _lift("cos", _cos, g)
 
 
 def tan(g: Dual3) -> Dual3:
-    return lift_elemental("tan", g)
+    return _lift("tan", _tan, g)
 
 
 def exp(g: Dual3) -> Dual3:
-    return lift_elemental("exp", g)
+    return _lift("exp", _exp, g)
 
 
 def log(g: Dual3) -> Dual3:
-    return lift_elemental("log", g)
+    return _lift("log", _log, g)
 
 
 def sqrt(g: Dual3) -> Dual3:
-    return lift_elemental("sqrt", g)
-
+    return _lift("sqrt", _sqrt, g)

@@ -104,23 +104,16 @@ def radiometry_peak_frequency(thickness: float = SAMPLE_THICKNESS,
 def radiometry_fixture() -> SplineData:
     """Synthetic amplitude-vs-frequency curve with one interior maximum.
 
-    A quadratic bump: its derivative is linear, so the Newton search on
-    the spline derivative converges from anywhere in range.  The peak
-    sits at :func:`radiometry_peak_frequency`, so running the full
-    pipeline recovers ``TARGET_DIFFUSIVITY``.
+    A quadratic bump: its derivative is linear with one zero, which the
+    closed-form search on the spline slope finds from any start in
+    range.  The peak sits at :func:`radiometry_peak_frequency`, so
+    running the full pipeline recovers ``TARGET_DIFFUSIVITY``.
     """
     peak = radiometry_peak_frequency()
     width = 4e-3
     freq = np.linspace(peak - 0.8 * width, peak + 0.8 * width, 33)
     amplitude = 1.0 - ((freq - peak) / width) ** 2
     return SplineData(freq, amplitude)
-
-
-def monotone_fixture() -> SplineData:
-    """Strictly increasing amplitude curve: the pipeline must report
-    that no interior extremum exists."""
-    freq = np.linspace(1.0, 10.0, 25)
-    return SplineData(freq, np.exp(freq / 4.0))
 
 
 # -- Duffing oscillator ----------------------------------------------------

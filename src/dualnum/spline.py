@@ -125,36 +125,44 @@ def build_spline(data: SplineData) -> SplineModel:
     y = data.y
     n = len(data)
 
-    rhs = np.empty(n)
-    # An overflow here is reported by the finite check below.
-    with np.errstate(over="ignore"):
+    # An overflow or inf - inf anywhere in the build reaches c or d, and
+    # the one finite check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = np.empty(n)
         rhs[0] = 3.0 * (y[1] - y[0])
         rhs[-1] = 3.0 * (y[-1] - y[-2])
         if n > 2:
             rhs[1:-1] = 3.0 * (y[2:] - y[:-2])
-    if not np.isfinite(rhs).all():
+
+        if n <= _SWEEP_MAX_KNOTS:
+            slopes = np.array(_sweep(rhs.tolist()))
+        else:
+            from scipy.linalg import solve_banded
+
+            banded = np.zeros((3, n))
+            banded[0, 1:] = 1.0
+            banded[1, :] = 4.0
+            banded[1, 0] = banded[1, -1] = 2.0
+            banded[2, :-1] = 1.0
+            # The matrix is finite and a bad rhs shows in c and d below:
+            # skip scipy's scan.
+            slopes = solve_banded((1, 1), banded, rhs, check_finite=False)
+
+        # c = 3 dy - 2 D_i - D_{i+1} and d = -2 dy + D_i + D_{i+1}, in
+        # place and in that order: the same roundings, fewer temporaries.
+        d = y[1:] - y[:-1]
+        c = 3.0 * d
+        c -= 2.0 * slopes[:-1]
+        c -= slopes[1:]
+        d *= -2.0
+        d += slopes[:-1]
+        d += slopes[1:]
+    if not (np.isfinite(c).all() and np.isfinite(d).all()):
         raise ValidationError("ordinate differences overflow a float")
-
-    if n <= _SWEEP_MAX_KNOTS:
-        slopes = np.array(_sweep(rhs.tolist()))
-    else:
-        from scipy.linalg import solve_banded
-
-        banded = np.zeros((3, n))
-        banded[0, 1:] = 1.0
-        banded[1, :] = 4.0
-        banded[1, 0] = banded[1, -1] = 2.0
-        banded[2, :-1] = 1.0
-        # Both operands are known finite: skip scipy's second scan.
-        slopes = solve_banded((1, 1), banded, rhs, check_finite=False)
-
-    dy = y[1:] - y[:-1]
     # Views suffice: y is SplineData's own read-only copy, and SplineModel
     # makes slopes read-only.
     a = y[:-1]
     b = slopes[:-1]
-    c = 3.0 * dy - 2.0 * slopes[:-1] - slopes[1:]
-    d = -2.0 * dy + slopes[:-1] + slopes[1:]
     return SplineModel(data=data, slopes=slopes, a=a, b=b, c=c, d=d)
 
 

@@ -14,18 +14,21 @@ from contextlib import contextmanager
 import numpy as np
 
 from dualnum import (
-    ELEMENTALS,
     OdeProblem,
     RootConfig,
     SplineData,
     build_spline,
     duffing_problem,
     eval_dual,
+    cos,
     exp,
     find_root,
-    lift_elemental,
+    log,
     rk4,
     rk4dual,
+    sin,
+    sqrt,
+    tan,
     variable,
 )
 from dualnum import fixtures
@@ -138,21 +141,21 @@ def test_criterion_7_ad_vs_fd_property_suite():
         start = time.perf_counter()
         rng = np.random.RandomState(123)
 
+        # dual elemental -> (float value function, sampler)
         samplers = {
-            "sin": lambda: rng.uniform(-3, 3),
-            "cos": lambda: rng.uniform(-3, 3),
-            "tan": lambda: rng.uniform(-1, 1),
-            "exp": lambda: rng.uniform(-2, 2),
-            "log": lambda: rng.uniform(0.2, 5),
-            "sqrt": lambda: rng.uniform(0.2, 5),
-            "abs": lambda: rng.uniform(0.2, 3) * rng.choice([-1.0, 1.0]),
+            sin: (math.sin, lambda: rng.uniform(-3, 3)),
+            cos: (math.cos, lambda: rng.uniform(-3, 3)),
+            tan: (math.tan, lambda: rng.uniform(-1, 1)),
+            exp: (math.exp, lambda: rng.uniform(-2, 2)),
+            log: (math.log, lambda: rng.uniform(0.2, 5)),
+            sqrt: (math.sqrt, lambda: rng.uniform(0.2, 5)),
+            abs: (abs, lambda: rng.uniform(0.2, 3) * rng.choice([-1.0, 1.0])),
         }
-        assert set(samplers) == set(ELEMENTALS)
-        for name, sampler in samplers.items():
-            value_fn = ELEMENTALS[name][0]
+        assert set(samplers) == {sin, cos, tan, exp, log, sqrt, abs}
+        for fn, (value_fn, sampler) in samplers.items():
             for _ in range(20):
                 x = float(sampler())
-                fd_check(lift_elemental(name, variable(x)), value_fn, x)
+                fd_check(fn(variable(x)), value_fn, x)
 
         def cube_eq(u, x):
             return u ** 3 - x

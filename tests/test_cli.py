@@ -42,11 +42,22 @@ class TestExitCodes:
         assert "increasing" in err
 
     def test_numerical_failure_is_two(self, capsys, tmp_path):
+        # strictly increasing amplitudes: no interior extremum exists
         monotone = tmp_path / "monotone.csv"
-        data = fixtures.monotone_fixture()
+        freq = np.linspace(1.0, 10.0, 25)
         monotone.write_text(
-            "\n".join(f"{x},{y}" for x, y in zip(data.x, data.y)))
+            "\n".join(f"{x},{y}" for x, y in zip(freq, np.exp(freq / 4.0))))
         code, _, err = run(capsys, "diffusivity", "--csv", str(monotone))
+        assert code == 2
+        assert "extremum" in err
+
+    def test_two_row_diffusivity_starts_mid_range(self, capsys, tmp_path):
+        # the default start 10 lies outside [0, 1], and two rows have no
+        # interior sample: the search starts at the midpoint and finds
+        # the straight line has no extremum
+        line = tmp_path / "line.csv"
+        line.write_text("0.0,1.0\n1.0,2.0\n")
+        code, _, err = run(capsys, "diffusivity", "--csv", str(line))
         assert code == 2
         assert "extremum" in err
 

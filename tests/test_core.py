@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from dualnum import (
     Dual3,
     DomainError,
-    ELEMENTALS,
     ValidationError,
     compose,
     constant,
+    cos,
     exp,
-    lift_elemental,
+    log,
     sin,
+    sqrt,
+    tan,
     variable,
 )
 from dualnum.reference import TaylorJet, central_diff, jet_mul
@@ -29,6 +31,18 @@ away_from_zero = st.one_of(
     st.floats(min_value=0.5, max_value=10.0),
     st.floats(min_value=-10.0, max_value=-0.5),
 )
+
+
+# name -> (dual elemental, float value function as its oracle)
+ELEMENTAL_FNS = {
+    "sin": (sin, math.sin),
+    "cos": (cos, math.cos),
+    "tan": (tan, math.tan),
+    "exp": (exp, math.exp),
+    "log": (log, math.log),
+    "sqrt": (sqrt, math.sqrt),
+    "abs": (abs, abs),
+}
 
 
 def duals(f0=finite):
@@ -196,12 +210,11 @@ class TestNanTrap:
         with pytest.raises(DomainError, match="NaN"):
             compose(Dual3(0.5, 1.5, -2.0), Dual3(float("nan"), 1.0, 0.0))
 
-    def test_lift_checks_argument_value(self, monkeypatch):
-        # an elemental whose value ignores its argument drops the NaN
-        monkeypatch.setitem(ELEMENTALS, "one", (lambda x: 1.0, lambda x: 0.0,
-                                                lambda x: 0.0, None))
+    @pytest.mark.parametrize("name", ELEMENTAL_FNS)
+    def test_elemental_checks_argument_value(self, name):
+        fn = ELEMENTAL_FNS[name][0]
         with pytest.raises(DomainError, match="NaN"):
-            lift_elemental("one", Dual3(float("nan"), 1.0, 0.0))
+            fn(Dual3(float("nan"), 1.0, 0.0))
 
     def test_nan_divisor_is_reported_before_zero_division(self):
         with pytest.raises(DomainError, match="NaN"):
@@ -260,7 +273,7 @@ class TestElementals:
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_positive_domain(self, name, bad):
         with pytest.raises(DomainError, match=name):
-            lift_elemental(name, variable(bad))
+            ELEMENTAL_FNS[name][0](variable(bad))
 
     def test_abs_at_zero(self):
         with pytest.raises(DomainError):
@@ -271,10 +284,6 @@ class TestElementals:
 
     def test_neg(self):
         assert_close(-Dual3(1.0, 2.0, 3.0), (-1.0, -2.0, -3.0), tol=0)
-
-    def test_unknown_elemental(self):
-        with pytest.raises(ValidationError):
-            lift_elemental("sinh", variable(1.0))
 
     def test_exp_overflow_is_domain_error(self):
         with pytest.raises(DomainError, match="exp"):
@@ -291,10 +300,10 @@ class TestElementals:
     ])
     def test_matches_finite_differences(self, name, sampler):
         rng = np.random.RandomState(42)
-        value = ELEMENTALS[name][0]
+        fn, value = ELEMENTAL_FNS[name]
         for _ in range(25):
             x = float(sampler(rng))
-            d = lift_elemental(name, variable(x))
+            d = fn(variable(x))
             fd1 = central_diff(lambda t: value(t), x, 1)
             fd2 = central_diff(lambda t: value(t), x, 2)
             assert abs(d.f1 - fd1) <= 1e-6 * max(1.0, abs(d.f1))
@@ -324,6 +333,9 @@ class TestPow:
     def test_negative_base_integer_exponent(self):
         assert_close(variable(-2.0) ** 3, (-8, 12, -12), tol=0)
         assert_close(variable(-2.0) ** -1, (-0.5, -0.25, -0.25), tol=1e-15)
+
+    def test_zero_power_is_one(self):
+        assert same_dual(variable(2.0) ** 0, Dual3(1.0, 0.0, 0.0))
 
     def test_zero_to_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -363,7 +375,37 @@ class TestPow:
         assert_close(r, (8.0, 8.0 * ln2, 8.0 * ln2 * ln2), tol=1e-13)
 
 
+def tan_jet(x):
+    sec2 = 1.0 / (math.cos(x) * math.cos(x))
+    return math.tan(x), sec2, 2.0 * math.tan(x) * sec2
+
+
+# name -> {f, f', f''} at x, in closed form
+JETS = {
+    "sin": lambda x: (math.sin(x), math.cos(x), -math.sin(x)),
+    "cos": lambda x: (math.cos(x), -math.sin(x), -math.cos(x)),
+    "tan": tan_jet,
+    "exp": lambda x: (math.exp(x),) * 3,
+    "log": lambda x: (math.log(x), 1.0 / x, -1.0 / (x * x)),
+    "sqrt": lambda x: (math.sqrt(x), 0.5 / math.sqrt(x),
+                       -0.25 / (x * math.sqrt(x))),
+    "abs": lambda x: (abs(x), math.copysign(1.0, x), 0.0),
+}
+
+
 class TestCompose:
+    @pytest.mark.parametrize("name", ELEMENTAL_FNS)
+    def test_elemental_is_compose_of_its_jet(self, name):
+        fn = ELEMENTAL_FNS[name][0]
+        xs = (0.3, 2.5) if name in ("log", "sqrt") else (-1.2, 0.3, 2.5)
+        tangents = (0.0, -0.0, 1.5, -2.0)
+        for x in xs:
+            jet = Dual3(*JETS[name](x))
+            for g1 in tangents:
+                for g2 in tangents:
+                    g = Dual3(x, g1, g2)
+                    assert same_dual(fn(g), compose(jet, g)), (x, g1, g2)
+
     def test_sin_jet_with_scaled_seed(self):
         assert_close(compose(Dual3(0, 1, 0), Dual3(0, 2, 0)), (0, 2, 0), tol=0)
 
@@ -385,10 +427,11 @@ class TestCompose:
     ])
     def test_nested_lift_associativity(self, outer, mid, inner):
         x = 0.8
-        h = lift_elemental(inner, variable(x))
-        left = lift_elemental(outer, lift_elemental(mid, h))
+        outer, mid, inner = (ELEMENTAL_FNS[n][0] for n in (outer, mid, inner))
+        h = inner(variable(x))
+        left = outer(mid(h))
         # (outer . mid) jet built at h's value, then composed over h
-        fg_jet = lift_elemental(outer, lift_elemental(mid, variable(h.f0)))
+        fg_jet = outer(mid(variable(h.f0)))
         right = compose(fg_jet, h)
         assert_close(left, (right.f0, right.f1, right.f2), tol=1e-12)
 

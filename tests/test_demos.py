@@ -1,6 +1,8 @@
 """Smoke tests: every demo script runs, and every public name resolves."""
 
+import importlib
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -27,6 +29,43 @@ def test_every_public_name_resolves():
     missing = [name for name in dualnum.__all__ if not hasattr(dualnum, name)]
     assert missing == []
     assert len(set(dualnum.__all__)) == len(dualnum.__all__)
+
+
+def api_sketch_names():
+    """Names the README's API sketch table shows in backticks: every word
+    of a span that is a plain list of names, else the name a span's
+    expression starts with (an operator list starts with none)."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## API sketch", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    names = []
+    for span in re.findall(r"`([^`]+)`", "\n".join(rows)):
+        if re.fullmatch(r"[\w.]+( [\w.]+)*", span):
+            names += span.split()
+        elif lead := re.match(r"[A-Za-z_][\w.]*", span):
+            names.append(lead.group())
+    return names
+
+
+def resolves(name):
+    """``name`` is an attribute of dualnum, or of dualnum.reference when it
+    carries the ``reference.`` prefix."""
+    obj = dualnum
+    if name.startswith("reference."):
+        obj = importlib.import_module("dualnum.reference")
+        name = name[len("reference."):]
+    for part in name.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_readme_api_sketch_names_resolve():
+    names = api_sketch_names()
+    assert {"compose", "sin", "MechanismParams", "reference.jet_mul"} <= set(
+        names)
+    assert [name for name in names if not resolves(name)] == []
 
 
 def fresh_python(code):

@@ -29,6 +29,10 @@ def cube_eq(u, x):
     return u ** 3 - x
 
 
+def square_eq(u, x):
+    return u * u - x
+
+
 def sine_eq(u, x):
     return u - sin(x)
 
@@ -210,6 +214,17 @@ class TestErrors:
 
         with pytest.raises(SingularDerivativeError):
             find_root(cfg(0.0), flat, variable(1.0))
+
+    def test_vanishing_slope_at_an_iterate(self):
+        # u0 = 0 is not a root of u^2 - 2, and dF/du is 0 there
+        with pytest.raises(SingularDerivativeError, match="iterate 0"):
+            find_root(cfg(0.0), square_eq, variable(2.0))
+
+    def test_vanishing_halley_denominator(self):
+        # at u = 1, x = -3: 2 F'^2 - F F'' = 2 * 4 - 4 * 2 = 0
+        with pytest.raises(SingularDerivativeError, match="Halley"):
+            find_root(cfg(1.0, method="halley"), square_eq,
+                      variable(-3.0))
 
     def test_divergence_reports_iterations(self):
         # first Newton step jumps to ~ -5e299, squaring overflows to inf

@@ -108,8 +108,31 @@ class TestValidation:
         with pytest.raises(ValidationError, match="overflow"):
             build_spline(data)
 
+    @pytest.mark.parametrize("n", [5, _SWEEP_MAX_KNOTS + 1],
+                             ids=["sweep", "banded"])
+    def test_overflowing_coefficients_are_rejected(self, n):
+        # the right-hand side is finite; the cubic coefficients are not
+        y = np.zeros(n)
+        y[1:4] = [-3e307, 3e307, -3e307]
+        assert np.isfinite(slope_rhs(y)).all()
+        with pytest.raises(ValidationError, match="overflow"):
+            build_spline(SplineData(np.arange(float(n)), y))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValidationError, match="equal length"):
+            SplineData([0.0, 1.0, 2.0], [1.0, 2.0])
+
 
 class TestBuild:
+    @pytest.mark.parametrize("n", [9, _SWEEP_MAX_KNOTS + 1],
+                             ids=["sweep", "banded"])
+    def test_coefficients_round_as_written(self, n):
+        model = build_spline(random_data(np.random.default_rng(n), n))
+        y, s = model.data.y, model.slopes
+        dy = y[1:] - y[:-1]
+        assert model.c.tobytes() == (3.0 * dy - 2.0 * s[:-1] - s[1:]).tobytes()
+        assert model.d.tobytes() == (-2.0 * dy + s[:-1] + s[1:]).tobytes()
+
     def test_bundled_fixture_interpolates_knots(self):
         data = fixtures.ln_sample_data()
         model = build_spline(data)
@@ -488,6 +511,13 @@ class TestDerivativeRoot:
         model = build_spline(SplineData(x, np.exp(x)))
         with pytest.raises(NoExtremumError, match="extremum"):
             find_derivative_root(model, x0)
+
+    def test_straight_slope_segment(self):
+        # segment 1 has d == 0: its slope b + 2 c t is linear, zero at t = 1/2
+        model = build_spline(SplineData(np.arange(4.0), [-3.0, -1.0, -1.0, -3.0]))
+        assert model.d[1] == 0.0 and model.c[1] != 0.0
+        for x0 in (0.0, 3.0):
+            assert find_derivative_root(model, x0) == 1.5
 
     def test_flat_data_is_singular(self):
         x = np.linspace(0.0, 2.0, 11)
