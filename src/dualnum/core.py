@@ -19,13 +19,13 @@ also how a user-defined elemental is applied; each built-in elemental
 (``sin`` ... ``sqrt`` and ``abs``) is a plain float function returning
 its jet, and unary minus is the jet ``{-g0, -1, 0}``.
 
-Operations build their results through one unchecked internal
-constructor, and the NaN check runs there, once on each result rather
-than on each operand.  Under IEEE arithmetic a NaN operand always gives
-a NaN result, so an operation that receives or produces a NaN component
-raises :class:`~dualnum.errors.DomainError`.  The operands whose NaN
-need not reach the result, ``g.f0`` in the chain rule and the base of
-``x ** 0``, are checked explicitly.
+Every :class:`Dual3` holds three finite components.  Both constructors,
+``Dual3(...)`` and the internal ``_mk`` that every operation builds its
+result with, raise :class:`~dualnum.errors.DomainError` for an infinite
+or NaN component.  So an overflow, an invalid operation such as
+``inf - inf``, or a division by a zero real part stops the computation
+at the operation where it happens, and no operation need check its
+operands: they are finite by construction.
 """
 
 from __future__ import annotations
@@ -53,18 +53,15 @@ def _as_dual(value) -> "Dual3":
     return _mk(_scalar(value), 0.0, 0.0)
 
 
-def _reject_nan(*operands: "Dual3") -> None:
-    for d in operands:
-        if d.f0 != d.f0 or d.f1 != d.f1 or d.f2 != d.f2:
-            raise DomainError(f"NaN component in dual operand {d!r}")
-
-
-def _zero_division(*operands: "Dual3"):
-    # a NaN operand is reported as such, even with a zero denominator
-    _reject_nan(*operands)
-    raise ZeroDivisionError(
-        "dual division by zero: denominator real part is 0.0"
+def _non_finite(r0: float, r1: float, r2: float):
+    kind = "NaN" if r0 != r0 or r1 != r1 or r2 != r2 else "non-finite"
+    raise DomainError(
+        f"{kind} component in Dual3({r0!r}, {r1!r}, {r2!r})"
     )
+
+
+def _zero_division():
+    raise DomainError("dual division by zero: denominator real part is 0.0")
 
 
 class Dual3:
@@ -72,7 +69,8 @@ class Dual3:
 
     Instances are immutable and all operations are pure, so values may be
     shared and used from any number of threads.  An ``int`` or ``float``
-    operand acts as the constant ``{c, 0, 0}``, bit for bit.
+    operand acts as the constant ``{c, 0, 0}``, bit for bit; an infinite
+    one, which no ``Dual3`` holds, enters the same expressions.
     """
 
     __slots__ = ("f0", "f1", "f2")
@@ -83,9 +81,12 @@ class Dual3:
     f2: float
 
     def __init__(self, f0: Number, f1: Number = 0.0, f2: Number = 0.0):
-        _set_f0(self, float(f0))
-        _set_f1(self, float(f1))
-        _set_f2(self, float(f2))
+        f0, f1, f2 = float(f0), float(f1), float(f2)
+        if 0.0 * f0 * f1 * f2 != 0.0:
+            _non_finite(f0, f1, f2)
+        _set_f0(self, f0)
+        _set_f1(self, f1)
+        _set_f2(self, f2)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -146,13 +147,13 @@ class Dual3:
         if isinstance(other, Dual3):
             b0, b1, b2 = other.f0, other.f1, other.f2
             if b0 == 0.0:
-                _zero_division(self, other)
+                _zero_division()
             q0 = self.f0 / b0
             q1 = (self.f1 - q0 * b1) / b0
             return _mk(q0, q1, (self.f2 - 2.0 * q1 * b1 - q0 * b2) / b0)
         c = _scalar(other)
         if c == 0.0:
-            _zero_division(self)
+            _zero_division()
         q0 = self.f0 / c
         q1 = (self.f1 - q0 * 0.0) / c
         return _mk(q0, q1, (self.f2 - 2.0 * q1 * 0.0 - q0 * 0.0) / c)
@@ -161,7 +162,7 @@ class Dual3:
         c = _scalar(other)
         b0, b1 = self.f0, self.f1
         if b0 == 0.0:
-            _zero_division(Dual3(c), self)
+            _zero_division()
         q0 = c / b0
         q1 = (0.0 - q0 * b1) / b0
         return _mk(q0, q1, (0.0 - 2.0 * q1 * b1 - q0 * self.f2) / b0)
@@ -174,9 +175,7 @@ class Dual3:
         return _lift("abs", _abs, self)
 
     def __pow__(self, exponent) -> "Dual3":
-        # checked up front: x ** 0 returns a constant whatever x holds
         p = _as_dual(exponent)
-        _reject_nan(self, p)
         if p.f1 == 0.0 and p.f2 == 0.0 and p.f0.is_integer():
             if abs(p.f0) <= _MAX_INT_EXPONENT:
                 return self._int_power(int(p.f0))
@@ -215,15 +214,14 @@ _set_f2 = Dual3.f2.__set__
 
 
 def _mk(r0: float, r1: float, r2: float) -> Dual3:
-    """Unchecked constructor for float components: the internal route.
+    """Constructor for float components: the internal route.
 
-    NaN is trapped here, on every result, so solver divergence is
-    reported at the operation that first sees or makes a NaN.
+    An infinite or NaN component is trapped here, on every result, so
+    an overflow or solver divergence is reported at the operation that
+    first makes it.  ``0.0 * r`` is a zero exactly when ``r`` is finite.
     """
-    if r0 != r0 or r1 != r1 or r2 != r2:
-        raise DomainError(
-            f"NaN component in dual result Dual3({r0!r}, {r1!r}, {r2!r})"
-        )
+    if 0.0 * r0 * r1 * r2 != 0.0:
+        _non_finite(r0, r1, r2)
     d = _new(Dual3)
     _set_f0(d, r0)
     _set_f1(d, r1)
@@ -247,9 +245,6 @@ def constant(c: Number) -> Dual3:
 
 def _chain(j0: float, j1: float, j2: float, g: Dual3) -> Dual3:
     """The chain rule: ``{j0, j1, j2}`` is ``f``'s jet at ``g.f0``."""
-    # g.f0 does not reach the result, so its NaN is checked here
-    if g.f0 != g.f0:
-        raise DomainError(f"NaN component in dual operand {g!r}")
     g1 = g.f1
     return _mk(j0, j1 * g1, j2 * g1 * g1 + j1 * g.f2)
 
@@ -314,9 +309,10 @@ def _lift(name: str, jet: Callable[[float], tuple], g: Dual3) -> Dual3:
     """Apply an elemental's jet to a dual argument by :func:`_chain`."""
     x = g.f0
     try:
-        # a NaN x passes every domain check and is trapped by _chain
+        # a jet that overflows or underflows to a zero divisor raises
+        # here; one that returns inf or NaN is trapped by _mk
         j0, j1, j2 = jet(x)
-    except (OverflowError, ValueError) as exc:
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"{name} failed at real part {x}: {exc}") from None
     return _chain(j0, j1, j2, g)
 

@@ -22,8 +22,9 @@ class NumericalError(ArithmeticError):
 
 
 class DomainError(NumericalError):
-    """An elemental function was evaluated outside its domain, or an
-    operand carried a NaN component."""
+    """An elemental function was evaluated outside its domain, or a dual
+    result would hold an infinite or NaN component (overflow, an invalid
+    operation, division by a zero real part)."""
 
 
 class SingularDerivativeError(NumericalError):
@@ -31,7 +32,8 @@ class SingularDerivativeError(NumericalError):
 
 
 class DivergenceError(NumericalError):
-    """An iteration produced a non-finite iterate."""
+    """An iteration produced a non-finite iterate, or a residual the
+    iterate made fail with :class:`DomainError`."""
 
     def __init__(self, message: str, iterations: int = 0):
         super().__init__(message)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from .core import Dual3, compose
-from .errors import BlowUpError, ValidationError, check_count
+from .errors import BlowUpError, DomainError, ValidationError, check_count
 
 Rhs = Callable[[float, float, float], float]
 
@@ -84,13 +84,12 @@ def rk4dual(problem: OdeProblem, t: Dual3) -> Dual3:
     """
     x1, x2 = rk4(problem, t.f0)
     try:
-        f2 = problem.rhs2(t.f0, x1, x2)
-    except OverflowError as exc:
+        jet = Dual3(x1, x2, problem.rhs2(t.f0, x1, x2))
+    except (OverflowError, DomainError) as exc:
         raise BlowUpError(
             f"right-hand side overflowed at the end state (t = {t.f0})",
             step=problem.num_steps - 1,
         ) from exc
-    jet = Dual3(x1, x2, f2)
     return compose(jet, t)
 
 

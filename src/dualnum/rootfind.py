@@ -30,6 +30,7 @@ from typing import Callable
 from .core import Dual3, constant, cos, sin, variable
 from .errors import (
     DivergenceError,
+    DomainError,
     NonConvergenceError,
     SingularDerivativeError,
     ValidationError,
@@ -63,8 +64,8 @@ class RootConfig:
         if not math.isfinite(self.u0):
             raise ValidationError(f"u0 must be finite, got {self.u0}")
         check_count("max_iters", self.max_iters)
-        if not self.tol >= 0.0:
-            raise ValidationError("tol must be >= 0")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValidationError(f"tol must be finite and >= 0: {self.tol}")
 
 
 def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
@@ -78,11 +79,6 @@ def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
     fd = F(variable(u), x_const)
     for k in range(cfg.max_iters + 1):
         resid = fd.f0
-        if not math.isfinite(resid):
-            raise DivergenceError(
-                f"non-finite residual after {k} iterations (u={u}, F={resid})",
-                iterations=k,
-            )
         if k == cfg.max_iters or (cfg.tol > 0.0 and abs(resid) <= cfg.tol):
             break
         fu = fd.f1
@@ -104,7 +100,13 @@ def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
                 f"non-finite iterate after {k + 1} iterations (u={u})",
                 iterations=k + 1,
             )
-        fd = F(variable(u), x_const)
+        try:
+            fd = F(variable(u), x_const)
+        except DomainError as exc:
+            raise DivergenceError(
+                f"residual failed after {k + 1} iterations (u={u}): {exc}",
+                iterations=k + 1,
+            ) from exc
     if cfg.tol > 0.0 and abs(resid) > cfg.tol:
         raise NonConvergenceError(
             f"|F| = {abs(resid):.3e} > tol = {cfg.tol:.3e} "
@@ -114,17 +116,12 @@ def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
 
     # Settle phase: two dual passes with the slope pinned at the root.
     slope = fd.f1
-    if not math.isfinite(slope):
-        raise DivergenceError(f"non-finite dF/du at the root u={u}")
     if slope == 0.0:
         raise SingularDerivativeError(f"dF/du vanished at the root u={u}")
     slope_const = constant(slope)
     ud = Dual3(u)
     for _ in range(_SETTLE_PASSES):
         ud = ud - F(ud, g) / slope_const
-    if not (math.isfinite(ud.f0) and math.isfinite(ud.f1)
-            and math.isfinite(ud.f2)):
-        raise DivergenceError(f"non-finite dual components at the root: {ud!r}")
     return ud
 
 

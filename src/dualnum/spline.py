@@ -260,10 +260,11 @@ def find_derivative_root(model: SplineModel, x0: float) -> float:
 def diffusivity(thickness: float, peak_frequency: float) -> float:
     """Thermal diffusivity from sample thickness and the frequency at
     which the amplitude derivative vanishes: ``64 L f1 / (9 pi)``."""
-    if not thickness > 0.0:
-        raise ValidationError(f"thickness must be > 0, got {thickness}")
-    if not peak_frequency > 0.0:
+    alpha = 64.0 * thickness * peak_frequency / (9.0 * math.pi)
+    # an infinite input makes alpha infinite unless the other is <= 0
+    if not (thickness > 0.0 and peak_frequency > 0.0 and alpha < math.inf):
         raise ValidationError(
-            f"peak frequency must be > 0, got {peak_frequency}"
+            "thickness and peak frequency must be > 0 and give a finite "
+            f"diffusivity; got {thickness} and {peak_frequency}"
         )
-    return 64.0 * thickness * peak_frequency / (9.0 * math.pi)
+    return alpha

@@ -68,6 +68,13 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("numerical failure:")
 
+    def test_infinite_thickness_is_one(self, capsys):
+        code, out, err = run(capsys, "diffusivity", "--thickness", "inf",
+                             "--json")
+        assert code == 1
+        assert out == ""
+        assert "thickness" in err
+
     def test_out_of_range_at_is_one(self, capsys):
         code, _, err = run(capsys, "spline", "--at", "99.0")
         assert code == 1

@@ -1,15 +1,17 @@
 import math
 import operator
 import pickle
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualnum import (
     Dual3,
     DomainError,
+    NumericalError,
     ValidationError,
     compose,
     constant,
@@ -84,8 +86,12 @@ class TestArithmetic:
         assert_close(Dual3(1, 0, 0) / Dual3(2, 0, 0), (0.5, 0, 0), tol=0)
 
     def test_div_by_zero_real_part(self):
-        with pytest.raises(ZeroDivisionError, match="real part"):
+        with pytest.raises(DomainError, match="real part"):
             variable(1.0) / Dual3(0.0, 1.0, 0.0)
+        with pytest.raises(DomainError, match="real part"):
+            variable(1.0) / 0
+        with pytest.raises(DomainError, match="real part"):
+            1.0 / Dual3(-0.0, 1.0, 0.0)
 
     def test_scalar_coercion(self):
         x = variable(2.0)
@@ -113,13 +119,6 @@ class TestArithmetic:
             r = r / constant(c4)
         assert r.f1 == 0.0 and r.f2 == 0.0
 
-    def test_nan_component_trapped_at_next_op(self):
-        poisoned = Dual3(1.0, float("nan"), 0.0)
-        with pytest.raises(DomainError, match="NaN"):
-            poisoned * variable(1.0)
-        with pytest.raises(DomainError, match="NaN"):
-            sin(Dual3(float("nan"), 0.0, 0.0))
-
 
 def same_float(x: float, y: float) -> bool:
     """Equal including the sign of zero (results are never NaN)."""
@@ -145,12 +144,18 @@ def same_outcome(got, want) -> bool:
 
 
 inf = float("inf")
-edge_floats = st.one_of(
-    st.sampled_from([0.0, -0.0, inf, -inf, 1.0, -1.0]),
-    st.floats(allow_nan=False, allow_infinity=True),
+nan = float("nan")
+MAX = sys.float_info.max
+# finite components at the edges: signed zeros, subnormals, huge values
+edge_components = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e-200, 1e200,
+                     1e308, -1e308, MAX, -MAX]),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
-scalars = st.one_of(edge_floats, st.integers(min_value=-10 ** 6,
-                                             max_value=10 ** 6))
+edge_duals = st.builds(Dual3, edge_components, edge_components,
+                       edge_components)
+scalars = st.one_of(edge_components, st.sampled_from([inf, -inf]),
+                    st.integers(min_value=-10 ** 6, max_value=10 ** 6))
 OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
 # c op d evaluated with c wrapped: + and * keep the Dual3 on the left
 # (__radd__ and __rmul__ are __add__ and __mul__), - and / put Dual3(c)
@@ -164,11 +169,17 @@ WRAPPED_REFLECTED = {
 
 
 class TestScalarOperands:
-    @given(st.builds(Dual3, edge_floats, edge_floats, edge_floats),
-           scalars, st.sampled_from(OPS))
+    @given(edge_duals, scalars, st.sampled_from(OPS))
     @settings(max_examples=400)
     def test_scalar_matches_wrapped_constant(self, d, c, op):
-        assert same_outcome(outcome(op, d, c), outcome(op, d, Dual3(c)))
+        wrapped = outcome(Dual3, c)
+        if wrapped is DomainError:
+            # no Dual3 holds an infinite c, so there is nothing to match:
+            # the scalar op gives a (finite) Dual3 or raises DomainError
+            for got in (outcome(op, d, c), outcome(op, c, d)):
+                assert isinstance(got, Dual3) or got is DomainError
+            return
+        assert same_outcome(outcome(op, d, c), outcome(op, d, wrapped))
         assert same_outcome(outcome(op, c, d),
                             outcome(WRAPPED_REFLECTED[op], c, d))
 
@@ -191,36 +202,82 @@ class TestScalarOperands:
             "1" * variable(1.0)
 
 
+def check_finite_or_numerical_error(fn, *args):
+    """``fn(*args)`` is a Dual3 of finite components or raises a
+    NumericalError; any other exception propagates and fails the test."""
+    try:
+        r = fn(*args)
+    except NumericalError:
+        return
+    assert isinstance(r, Dual3)
+    assert all(math.isfinite(x) for x in (r.f0, r.f1, r.f2))
+
+
+UNARY_OPS = [operator.neg, abs, sin, cos, tan, exp, log, sqrt]
+BINARY_OPS = [operator.add, operator.sub, operator.mul, operator.truediv,
+              operator.pow]
+
+
 class TestNanTrap:
+    """No Dual3 holds an inf or NaN: ``Dual3(...)`` and every operation's
+    result are checked where they are built."""
+
+    @pytest.mark.parametrize("bad", [nan, inf, -inf])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_constructor_rejects_non_finite(self, slot, bad):
+        components = [1.0, 0.0, 0.0]
+        components[slot] = bad
+        with pytest.raises(DomainError, match="NaN" if bad != bad
+                           else "non-finite"):
+            Dual3(*components)
+
     def test_nan_produced_from_non_nan_operands(self):
+        # 2 * MAX overflows to inf, and inf * 0.0 is NaN
         with pytest.raises(DomainError, match="NaN"):
-            Dual3(inf) - Dual3(inf)
-        with pytest.raises(DomainError, match="NaN"):
-            Dual3(1.0, inf, 0.0) * 0.0
+            Dual3(1.0, MAX, 0.0) * 0.0
+        with pytest.raises(DomainError, match="non-finite"):
+            variable(1e200) * variable(1e200)
+        with pytest.raises(DomainError, match="non-finite"):
+            Dual3(1e308) + 1e308
 
     def test_nan_scalar_operand(self):
         with pytest.raises(DomainError, match="NaN"):
             variable(1.0) + float("nan")
 
     def test_zero_power_of_nan_base(self):
+        # x ** 0 ignores its base, whose NaN is stopped when it is built
         with pytest.raises(DomainError, match="NaN"):
-            Dual3(1.0, float("nan"), 0.0) ** 0
+            Dual3(1.0, nan, 0.0) ** 0
+        assert Dual3(1.0, MAX, -MAX) ** 0 == Dual3(1.0)
 
     def test_compose_checks_argument_value(self):
+        # g.f0 does not reach compose's result: its NaN is stopped when
+        # g is built, and an overflowing result where it is made
         with pytest.raises(DomainError, match="NaN"):
-            compose(Dual3(0.5, 1.5, -2.0), Dual3(float("nan"), 1.0, 0.0))
+            compose(Dual3(0.5, 1.5, -2.0), Dual3(nan, 1.0, 0.0))
+        with pytest.raises(DomainError, match="non-finite"):
+            compose(Dual3(0.5, 1.5, -2.0), Dual3(0.5, 1e200, 0.0))
 
     @pytest.mark.parametrize("name", ELEMENTAL_FNS)
     def test_elemental_checks_argument_value(self, name):
         fn = ELEMENTAL_FNS[name][0]
         with pytest.raises(DomainError, match="NaN"):
-            fn(Dual3(float("nan"), 1.0, 0.0))
+            fn(Dual3(nan, 1.0, 0.0))
+        check_finite_or_numerical_error(fn, Dual3(MAX, MAX, MAX))
 
-    def test_nan_divisor_is_reported_before_zero_division(self):
-        with pytest.raises(DomainError, match="NaN"):
-            variable(1.0) / Dual3(0.0, float("nan"), 0.0)
-        with pytest.raises(DomainError, match="NaN"):
-            1.0 / Dual3(0.0, float("nan"), 0.0)
+    @given(edge_duals, edge_duals, scalars)
+    @example(variable(1e200), variable(1e200), inf)
+    @example(variable(1e-200), Dual3(-2.0), 1e-160)
+    @example(Dual3(0.0, MAX, -MAX), Dual3(-0.0, 5e-324, 0.0), -inf)
+    @settings(max_examples=300, derandomize=True, database=None)
+    def test_results_are_finite_or_numerical_error(self, a, b, c):
+        for fn in UNARY_OPS:
+            check_finite_or_numerical_error(fn, a)
+        for op in BINARY_OPS:
+            check_finite_or_numerical_error(op, a, b)
+            check_finite_or_numerical_error(op, a, c)
+            check_finite_or_numerical_error(op, c, a)
+        check_finite_or_numerical_error(compose, a, b)
 
     def test_neg_matches_registry_route(self):
         for d in (Dual3(1.0, 2.0, 0.0), Dual3(-0.0, -0.0, -0.0),
@@ -288,6 +345,15 @@ class TestElementals:
     def test_exp_overflow_is_domain_error(self):
         with pytest.raises(DomainError, match="exp"):
             exp(variable(1000.0))
+
+    @pytest.mark.parametrize("name,x", [
+        ("log", 1e-200),   # x * x underflows to a zero divisor
+        ("sqrt", 1e-250),  # so does x * sqrt(x)
+        ("log", 1e-160),   # -1 / (x * x) overflows to -inf
+    ])
+    def test_tiny_argument_is_domain_error(self, name, x):
+        with pytest.raises(DomainError):
+            ELEMENTAL_FNS[name][0](variable(x))
 
     @pytest.mark.parametrize("name,sampler", [
         ("sin", lambda rng: rng.uniform(-3, 3)),

@@ -146,6 +146,17 @@ class TestRk4Dual:
             rk4dual(problem, variable(1.0))
         assert err.value.step == 0
 
+    def test_infinite_acceleration_at_end_state_is_blow_up(self):
+        # the same end state, where plain float arithmetic gives inf
+        problem = OdeProblem(t0=0.0, x10=0.0, x20=0.0,
+                             rhs1=lambda t, x1, x2: 3.0 * t * t,
+                             rhs2=lambda t, x1, x2:
+                                 1e308 * 10.0 if x1 > 0.9 else 0.0,
+                             num_steps=1)
+        with pytest.raises(BlowUpError) as err:
+            rk4dual(problem, variable(1.0))
+        assert err.value.step == 0
+
     def test_constant_time_has_zero_derivatives(self):
         jet = rk4dual(duffing_problem(100), constant(1.0))
         assert jet.f1 == 0.0 and jet.f2 == 0.0

@@ -6,6 +6,7 @@ import pytest
 from dualnum import (
     Dual3,
     DivergenceError,
+    DomainError,
     MechanismParams,
     NonConvergenceError,
     RootConfig,
@@ -14,6 +15,7 @@ from dualnum import (
     constant,
     exp,
     find_root,
+    log,
     sin,
     variable,
 )
@@ -63,6 +65,8 @@ class TestConfig:
             RootConfig(u0=1.0, max_iters=0)
         with pytest.raises(ValidationError):
             RootConfig(u0=1.0, tol=-1.0)
+        with pytest.raises(ValidationError, match="tol"):
+            RootConfig(u0=1.0, tol=float("inf"))
         with pytest.raises(ValidationError):
             RootConfig(u0=1.0, method="bisect")
         with pytest.raises(ValidationError):
@@ -233,7 +237,13 @@ class TestErrors:
 
         with pytest.raises(DivergenceError) as err:
             find_root(cfg(1.0, tol=0.0, max_iters=10), explodes, variable(1.0))
-        assert err.value.iterations >= 1
+        assert err.value.iterations == 1
+        assert isinstance(err.value.__cause__, DomainError)
+
+    def test_domain_error_at_u0_is_not_divergence(self):
+        # no iteration has run, so F's own DomainError reaches the caller
+        with pytest.raises(DomainError):
+            find_root(cfg(-1.0), lambda u, x: log(u) - x, variable(0.5))
 
     @pytest.mark.parametrize("method", ["newton", "halley"])
     def test_overflowing_step_is_divergence(self, method):

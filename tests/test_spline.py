@@ -550,8 +550,11 @@ class TestDiffusivity:
         assert diffusivity(522e-6, 10.0) == pytest.approx(2 * base, rel=1e-15)
         assert diffusivity(2 * 522e-6, 5.0) == pytest.approx(2 * base, rel=1e-15)
 
-    @pytest.mark.parametrize("thickness,freq", [(0.0, 1.0), (-1.0, 1.0),
-                                                (1.0, 0.0), (1.0, -2.0)])
+    @pytest.mark.parametrize("thickness,freq", [
+        (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+        (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+        (1e308, 1e3),  # finite inputs, overflowing result
+    ])
     def test_positivity_validation(self, thickness, freq):
         with pytest.raises(ValidationError):
             diffusivity(thickness, freq)
