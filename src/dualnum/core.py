@@ -43,7 +43,10 @@ _MAX_INT_EXPONENT = 10 ** 6
 
 def _scalar(value) -> float:
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond float range, like an inf
+            raise DomainError("int operand overflows a float") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as Dual3")
 
 
@@ -81,7 +84,10 @@ class Dual3:
     f2: float
 
     def __init__(self, f0: Number, f1: Number = 0.0, f2: Number = 0.0):
-        f0, f1, f2 = float(f0), float(f1), float(f2)
+        try:
+            f0, f1, f2 = float(f0), float(f1), float(f2)
+        except OverflowError:
+            raise DomainError("Dual3 component overflows a float") from None
         if 0.0 * f0 * f1 * f2 != 0.0:
             _non_finite(f0, f1, f2)
         _set_f0(self, f0)
@@ -195,7 +201,11 @@ class Dual3:
                 raise DomainError("0**0 is undefined")
             return _mk(1.0, 0.0, 0.0)
         if k < 0:
-            return _mk(1.0, 0.0, 0.0) / self._int_power(-k)
+            p = self._int_power(-k)
+            if p.f0 == 0.0 and self.f0 != 0.0:
+                raise DomainError(f"x ** {k} overflows a float: x ** {-k} "
+                                  f"underflows to 0 at real part {self.f0}")
+            return _mk(1.0, 0.0, 0.0) / p
         # left-to-right binary powering: square per bit of k below the
         # leading one, then multiply by self where that bit is set; for
         # k <= 3 these are the products of repeated ``out * self``
@@ -229,18 +239,30 @@ def _mk(r0: float, r1: float, r2: float) -> Dual3:
     return d
 
 
+def _seed_error(what: str, x: Number) -> ValidationError:
+    # only a non-finite float or an int beyond float range gets here
+    shown = f"an int of {x.bit_length()} bits" if isinstance(x, int) else x
+    return ValidationError(f"{what} must be finite, got {shown}")
+
+
 def variable(x: Number) -> Dual3:
     """Seed ``x`` as the differentiation variable: ``{x, 1, 0}``."""
-    if not math.isfinite(x):
-        raise ValidationError(f"variable seed must be finite, got {x}")
-    return _mk(float(x), 1.0, 0.0)
+    try:
+        if math.isfinite(x):
+            return _mk(float(x), 1.0, 0.0)
+    except OverflowError:  # an int beyond float range
+        pass
+    raise _seed_error("variable seed", x)
 
 
 def constant(c: Number) -> Dual3:
     """Embed a constant: ``{c, 0, 0}``.  Derivatives stay zero forever."""
-    if not math.isfinite(c):
-        raise ValidationError(f"constant must be finite, got {c}")
-    return _mk(float(c), 0.0, 0.0)
+    try:
+        if math.isfinite(c):
+            return _mk(float(c), 0.0, 0.0)
+    except OverflowError:  # an int beyond float range
+        pass
+    raise _seed_error("constant", c)
 
 
 def _chain(j0: float, j1: float, j2: float, g: Dual3) -> Dual3:

@@ -47,25 +47,25 @@ def rk4(problem: OdeProblem, t_end: float) -> Tuple[float, float]:
     u1, u2 = problem.rhs1, problem.rhs2
     h = (t_end - problem.t0) / problem.num_steps
     t, x1, x2 = problem.t0, problem.x10, problem.x20
+    hh, h6 = 0.5 * h, h / 6.0
     for step in range(problem.num_steps):
         # A float ``**`` or math function raises OverflowError where
         # arithmetic would give inf; either way the state has blown up.
         try:
-            k11 = u1(t, x1, x2)
-            k12 = u2(t, x1, x2)
-            k21 = u1(t + 0.5 * h, x1 + 0.5 * h * k11, x2 + 0.5 * h * k12)
-            k22 = u2(t + 0.5 * h, x1 + 0.5 * h * k11, x2 + 0.5 * h * k12)
-            k31 = u1(t + 0.5 * h, x1 + 0.5 * h * k21, x2 + 0.5 * h * k22)
-            k32 = u2(t + 0.5 * h, x1 + 0.5 * h * k21, x2 + 0.5 * h * k22)
-            k41 = u1(t + h, x1 + h * k31, x2 + h * k32)
-            k42 = u2(t + h, x1 + h * k31, x2 + h * k32)
+            k11, k12 = u1(t, x1, x2), u2(t, x1, x2)
+            tm, a1, a2 = t + hh, x1 + hh * k11, x2 + hh * k12
+            k21, k22 = u1(tm, a1, a2), u2(tm, a1, a2)
+            a1, a2 = x1 + hh * k21, x2 + hh * k22
+            k31, k32 = u1(tm, a1, a2), u2(tm, a1, a2)
+            te, a1, a2 = t + h, x1 + h * k31, x2 + h * k32
+            k41, k42 = u1(te, a1, a2), u2(te, a1, a2)
         except OverflowError as exc:
             raise BlowUpError(
                 f"right-hand side overflowed in step {step} (t = {t})",
                 step=step,
             ) from exc
-        x1 += h / 6.0 * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
-        x2 += h / 6.0 * (k12 + 2.0 * k22 + 2.0 * k32 + k42)
+        x1 += h6 * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
+        x2 += h6 * (k12 + 2.0 * k22 + 2.0 * k32 + k42)
         t = problem.t0 + (step + 1) * h
         if not (math.isfinite(x1) and math.isfinite(x2)):
             raise BlowUpError(

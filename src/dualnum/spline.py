@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dual3
+from .core import Dual3, _mk
 from .errors import (
     NoExtremumError,
     OutOfRangeError,
@@ -185,15 +185,35 @@ def eval_dual(model: SplineModel, x: Dual3) -> Dual3:
 
     The segment map ``t = (x - x_i) / (x_{i+1} - x_i)`` is part of the
     dual chain, so the returned components are derivatives with respect
-    to whatever seed ``x`` carries.
+    to whatever seed ``x`` carries.  The chain, ``t = (x - x_i) * (1/h)``
+    then ``((t d + c) t + b) t + a``, is evaluated on floats in the
+    ``Dual3`` operators' own expressions and order, so the bits are
+    theirs.  An inf or NaN on the way reaches a final component (only
+    ``+ - *`` by finite scalars follow), where the one ``_mk`` raises
+    ``DomainError`` as the operators would.
     """
     knots = model.data.x
-    i = _segment_index(knots, x.f0)
+    x0, x1 = x.f0, x.f1
+    i = _segment_index(knots, x0)
     k0 = knots.item(i)
-    h = knots.item(i + 1) - k0
-    t = (x - k0) * (1.0 / h)
-    return ((t * model.d.item(i) + model.c.item(i)) * t
-            + model.b.item(i)) * t + model.a.item(i)
+    r = 1.0 / (knots.item(i + 1) - k0)
+    # Terms left out: x - k0 subtracts 0.0 from x1 and x2, which keeps
+    # them.  s0 = x0 - k0 is >= +0.0 (the segment starts at or left of
+    # x0) and so is t0 = s0 * r, so s0 * 0.0 and t0 * 0.0 are +0.0, or t0
+    # is inf or NaN already.  + c adds 0.0 to p1 and p2, which end in
+    # + 0.0, so are never -0.0 and stay as they are.
+    t0 = (x0 - k0) * r
+    t1 = x1 * r + 0.0
+    t2 = x.f2 * r + 2.0 * x1 * 0.0 + 0.0
+    d = model.d.item(i)
+    p0 = t0 * d + model.c.item(i)
+    p1 = t1 * d + 0.0
+    p2 = t2 * d + 2.0 * t1 * 0.0 + 0.0
+    u0 = p0 * t0 + model.b.item(i)
+    u1 = p1 * t0 + p0 * t1 + 0.0
+    u2 = p2 * t0 + 2.0 * p1 * t1 + p0 * t2 + 0.0
+    return _mk(u0 * t0 + model.a.item(i), u1 * t0 + u0 * t1 + 0.0,
+               u2 * t0 + 2.0 * u1 * t1 + u0 * t2 + 0.0)
 
 
 def find_derivative_root(model: SplineModel, x0: float) -> float:

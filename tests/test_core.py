@@ -201,6 +201,22 @@ class TestScalarOperands:
         with pytest.raises(TypeError, match="cannot interpret"):
             "1" * variable(1.0)
 
+    # An int beyond float range is typed like an infinite float: an
+    # operand or component raises DomainError, a seed ValidationError.
+    @pytest.mark.parametrize("build, error", [
+        (lambda big: variable(1.0) + big, DomainError),
+        (lambda big: variable(1.0) * big, DomainError),
+        (lambda big: big / variable(2.0), DomainError),
+        (lambda big: variable(2.0) ** big, DomainError),
+        (lambda big: Dual3(big), DomainError),
+        (lambda big: variable(big), ValidationError),
+        (lambda big: constant(big), ValidationError),
+    ], ids=["add", "mul", "rtruediv", "pow", "Dual3", "variable", "constant"])
+    def test_int_beyond_float_range_is_typed(self, build, error):
+        for big in (10 ** 400, -10 ** 400, 10 ** 5000):
+            with pytest.raises(error, match="float|finite"):
+                build(big)
+
 
 def check_finite_or_numerical_error(fn, *args):
     """``fn(*args)`` is a Dual3 of finite components or raises a
@@ -402,6 +418,12 @@ class TestPow:
 
     def test_zero_power_is_one(self):
         assert same_dual(variable(2.0) ** 0, Dual3(1.0, 0.0, 0.0))
+
+    def test_negative_power_of_underflowing_base_overflows(self):
+        with pytest.raises(DomainError, match=r"x \*\* -2 overflows a float"):
+            variable(1e-200) ** -2
+        with pytest.raises(DomainError, match="division by zero"):
+            variable(0.0) ** -2
 
     def test_zero_to_zero_rejected(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -25,7 +26,53 @@ def oscillator(num_steps):
                       num_steps=num_steps)
 
 
+def rk4_each_argument_twice(problem, t_end):
+    """rk4's step loop as first written, every stage argument formed once
+    for u1 and again for u2: the reference for its bits and call order."""
+    u1, u2 = problem.rhs1, problem.rhs2
+    h = (t_end - problem.t0) / problem.num_steps
+    t, x1, x2 = problem.t0, problem.x10, problem.x20
+    for step in range(problem.num_steps):
+        k11 = u1(t, x1, x2)
+        k12 = u2(t, x1, x2)
+        k21 = u1(t + 0.5 * h, x1 + 0.5 * h * k11, x2 + 0.5 * h * k12)
+        k22 = u2(t + 0.5 * h, x1 + 0.5 * h * k11, x2 + 0.5 * h * k12)
+        k31 = u1(t + 0.5 * h, x1 + 0.5 * h * k21, x2 + 0.5 * h * k22)
+        k32 = u2(t + 0.5 * h, x1 + 0.5 * h * k21, x2 + 0.5 * h * k22)
+        k41 = u1(t + h, x1 + h * k31, x2 + h * k32)
+        k42 = u2(t + h, x1 + h * k31, x2 + h * k32)
+        x1 += h / 6.0 * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
+        x2 += h / 6.0 * (k12 + 2.0 * k22 + 2.0 * k32 + k42)
+        t = problem.t0 + (step + 1) * h
+    return x1, x2
+
+
 class TestRk4:
+    def test_bits_and_calls_match_the_reference_loop(self):
+        # a forced linear oscillator: Duffing's cubic term blows up when
+        # integrated back to t = -10
+        rng = np.random.RandomState(12)
+        for t_end in rng.uniform(-10.0, 10.0, 25).tolist():
+            runs = []
+            for integrate in (rk4, rk4_each_argument_twice):
+                calls = []
+
+                def u1(t, x1, x2):
+                    calls.append((1, t, x1, x2))
+                    return x2
+
+                def u2(t, x1, x2):
+                    calls.append((2, t, x1, x2))
+                    return 2.1 * math.cos(1.8 * t) - 0.4 * x2 - 1.1 * x1
+
+                problem = OdeProblem(t0=0.25, x10=0.3, x20=-2.3, rhs1=u1,
+                                     rhs2=u2, num_steps=37)
+                x1, x2 = integrate(problem, t_end)
+                runs.append((struct.pack("<2d", x1, x2),
+                             [repr(c) for c in calls]))
+            assert runs[0] == runs[1]
+            assert len(runs[0][1]) == 8 * 37
+
     def test_zero_acceleration_is_exact(self):
         # 8 steps keep h exactly representable
         problem = OdeProblem(t0=0.0, x10=0.0, x20=1.0,

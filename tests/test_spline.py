@@ -1,11 +1,15 @@
 import math
+import struct
 from array import array
 
 import numpy as np
 import pytest
 
 from dualnum import (
+    DomainError,
+    Dual3,
     NoExtremumError,
+    NumericalError,
     OutOfRangeError,
     SingularDerivativeError,
     SplineData,
@@ -351,9 +355,12 @@ class TestEvalDual:
                 1e-4 * max(1.0, abs(v.f2))
 
 
-def numpy_lookup_eval(model, x):
-    """eval_dual written with np.searchsorted and numpy-scalar reads, as
-    before the knot lookup read plain floats."""
+def dual_chain_eval(model, x):
+    """Reference for eval_dual: the segment found by np.searchsorted, read
+    as numpy scalars, and the chain ``(x - x_i) * (1/h)``, then
+    ``((t d + c) t + b) t + a``, run as eight ``Dual3`` operations.
+    eval_dual runs the same chain on floats and must give the same bits,
+    or raise DomainError where this does."""
     knots = model.data.x
     i = int(np.searchsorted(knots, x.f0, side="right")) - 1
     i = min(max(i, 0), len(model.data) - 2)
@@ -376,7 +383,57 @@ class TestLookupEdges:
             for p in points:
                 for xd in (variable(p), variable(p) * 2.0 - p):
                     assert repr(eval_dual(model, xd)) == repr(
-                        numpy_lookup_eval(model, xd))
+                        dual_chain_eval(model, xd))
+
+
+def eval_outcome(evaluate, model, x):
+    """The result's bytes, or the class of the numerical error raised."""
+    try:
+        v = evaluate(model, x)
+    except NumericalError as exc:
+        return type(exc)
+    assert all(map(math.isfinite, (v.f0, v.f1, v.f2)))
+    return struct.pack("<3d", v.f0, v.f1, v.f2)
+
+
+class TestEvalDualBits:
+    # 1e154 overflows f2 on the steeper of these curves, so both sides'
+    # DomainError is compared too; 1e-157 makes f1 * f1 products subnormal
+    F1 = (0.0, -0.0, 1.0, -1.0, 1e-300, 1e-157, 1e150, 1e154, 5e-324)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 9, 40, 97, 300])
+    @pytest.mark.parametrize("even", [True, False], ids=["even", "uneven"])
+    def test_float_chain_gives_the_dual_chain_bits(self, n, even):
+        rng = np.random.RandomState(n + 1000 * even)
+        if even:
+            x = np.linspace(rng.uniform(-3.0, 3.0), rng.uniform(4.0, 40.0), n)
+        else:
+            x = np.sort(rng.uniform(-5.0, 5.0, n))
+        y = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        model = build_spline(SplineData(x, y))
+        lo, hi = float(x[0]), float(x[-1])
+        points = x.tolist() + [math.nextafter(lo, hi), math.nextafter(hi, lo)]
+        points += rng.uniform(lo, hi, 8).tolist()
+        for p in points:
+            for f1 in self.F1:
+                for f2 in (0.0, -0.0, float(rng.standard_normal())):
+                    xd = Dual3(p, f1, f2)
+                    want = eval_outcome(dual_chain_eval, model, xd)
+                    assert eval_outcome(eval_dual, model, xd) == want
+
+    @pytest.mark.parametrize("knots, values, xd", [
+        ([0.0, 1e-3, 2e-3], [0.0, 1e3, 0.0], Dual3(5e-4, 1e300, 0.0)),
+        # flat data: only a scalar product's 2.0 * f1 * 0.0 term, inf * 0
+        # once f1 passes half the float range, stops these two: in x - k0
+        # times 1/h, and (for a short segment) in t * d
+        ([0.0, 4.0, 8.0], [1.0, 1.0, 1.0], Dual3(1.0, 1.7e308, 0.0)),
+        ([0.0, 0.5, 1.0], [1.0, 1.0, 1.0], Dual3(0.25, 8e307, 0.0)),
+    ], ids=["steep", "flat", "flat-short"])
+    def test_overflowing_tangent_is_domain_error(self, knots, values, xd):
+        model = build_spline(SplineData(knots, values))
+        for evaluate in (dual_chain_eval, eval_dual):
+            with pytest.raises(DomainError):
+                evaluate(model, xd)
 
 
 def oracle_roots(model):
