@@ -27,8 +27,9 @@ def oscillator(num_steps):
 
 
 def rk4_each_argument_twice(problem, t_end):
-    """rk4's step loop as first written, every stage argument formed once
-    for u1 and again for u2: the reference for its bits and call order."""
+    """RK4 with each stage argument formed once for u1 and again for u2,
+    and without the blow-up checks: the reference for rk4's bits and for
+    the order and arguments of its right-hand-side calls."""
     u1, u2 = problem.rhs1, problem.rhs2
     h = (t_end - problem.t0) / problem.num_steps
     t, x1, x2 = problem.t0, problem.x10, problem.x20
