@@ -16,6 +16,11 @@ that have no closed form:
 Jordan-block polynomial derivatives, truncated Taylor jets, the general
 and the closed-form tridiagonal inverses) used to cross-check everything
 else.
+
+Only the spline uses arrays.  ``import dualnum`` loads neither it nor
+numpy: the spline names (``SplineData``, ``build_spline``, ...) import
+:mod:`dualnum.spline` on first use, so the root finder and the ODE
+solver run without numpy.
 """
 
 from .core import (
@@ -43,16 +48,23 @@ from .errors import (
 )
 from .ode import OdeProblem, duffing_problem, rk4, rk4dual
 from .rootfind import MechanismParams, RootConfig, find_root
-from .spline import (
-    SplineData,
-    SplineModel,
-    build_spline,
-    diffusivity,
-    eval_dual,
-    find_derivative_root,
-)
 
 __version__ = "0.1.0"
+
+# Loaded with dualnum.spline, and so with numpy, on first use (PEP 562).
+_SPLINE_NAMES = frozenset(("SplineData", "SplineModel", "build_spline",
+                           "diffusivity", "eval_dual", "find_derivative_root"))
+
+
+def __getattr__(name):
+    if name in _SPLINE_NAMES:
+        from . import spline
+        return getattr(spline, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SPLINE_NAMES)
 
 __all__ = [
     "Dual3",

@@ -18,22 +18,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from . import fixtures
 from .core import Dual3, constant, sin, variable
-from .errors import NumericalError, ValidationError
+from .errors import NonConvergenceError, NumericalError, ValidationError
 from .ode import duffing_problem, rk4dual
 from .rootfind import RootConfig, find_root
-from .spline import (
-    SplineData,
-    build_spline,
-    diffusivity,
-    eval_dual,
-    find_derivative_root,
-)
+
+# The spline subcommands import dualnum.spline, and numpy with it, when
+# they run; the other three never load either.
+if TYPE_CHECKING:
+    from .spline import SplineData
 
 # Labelled output rows, in display order.
 Rows = List[Tuple[str, Dual3]]
@@ -43,12 +40,17 @@ Wanted = Dict[str, Tuple[Tuple[float, ...], float, float]]
 
 _FIELDS = ("value", "first", "second")
 
+# |F| above which a fixed-count solve's root is rejected (exit 2).
+_RESIDUAL_TOL = 1e-9
+
 
 # -- CSV ingestion -------------------------------------------------------
 
 def read_xy_csv(path: str) -> SplineData:
     """Two numeric columns, comma or whitespace separated, optionally one
     header line.  Rows must already be sorted by strictly increasing x."""
+    from .spline import SplineData
+
     rows: List[Tuple[int, float, float]] = []
     try:
         handle = open(path, "r", encoding="utf-8")
@@ -81,35 +83,49 @@ def read_xy_csv(path: str) -> SplineData:
                 f"{path}:{lineno}: x values must be strictly increasing "
                 "(sort the rows)"
             )
-    return SplineData(np.array([r[1] for r in rows]),
-                      np.array([r[2] for r in rows]))
+    return SplineData([r[1] for r in rows], [r[2] for r in rows])
 
 
 # -- problems ------------------------------------------------------------
+
+def _solve(cfg: RootConfig, F, g: Dual3) -> Dual3:
+    """``find_root``, whose fixed-count loop never tests the residual,
+    then :class:`NonConvergenceError` if ``|F|`` at the root exceeds
+    ``_RESIDUAL_TOL``."""
+    u = find_root(cfg, F, g)
+    residual = F(constant(u.f0), constant(g.f0)).f0
+    if abs(residual) > _RESIDUAL_TOL:
+        raise NonConvergenceError(
+            f"|F| = {abs(residual):.3e} > {_RESIDUAL_TOL:.0e} after "
+            f"{cfg.max_iters} iterations", residual=residual)
+    return u
+
 
 def _nr_example1(args) -> Rows:
     cfg = RootConfig(u0=fixtures.NR_EXAMPLE1_U0,
                      max_iters=fixtures.NR_EXAMPLE1_ITERS, tol=0.0)
     F = fixtures.nr_example1_equation
     xd = variable(fixtures.NR_EXAMPLE1_X0)
-    u = find_root(cfg, F, xd)
+    u = _solve(cfg, F, xd)
     return [("u", u), ("g1", sin(u) + xd),
-            ("g2", find_root(cfg, F, sin(xd) + xd * xd))]
+            ("g2", _solve(cfg, F, sin(xd) + xd * xd))]
 
 
 def _mechanism(args) -> Rows:
     F = fixtures.MECHANISM_PARAMS.loop_closure
     cfg = RootConfig(u0=fixtures.MECHANISM_PHI0, max_iters=100, tol=0.0)
     xd = variable(args.x0)
-    phi = find_root(cfg, F, xd)
+    phi = _solve(cfg, F, xd)
     if args.fn == "identity":
         residual = F(constant(phi.f0), constant(args.x0)).f0
         return [("phi(x0)", phi), ("residual", Dual3(residual))]
     return [("f(phi(x0))", 2.0 * sin(phi) * sin(phi)),
-            ("phi(f(x0))", find_root(cfg, F, 2.0 * sin(xd) * sin(xd)))]
+            ("phi(f(x0))", _solve(cfg, F, 2.0 * sin(xd) * sin(xd)))]
 
 
 def _spline(args) -> Rows:
+    from .spline import build_spline, eval_dual
+
     data = read_xy_csv(args.csv) if args.csv else fixtures.ln_sample_data()
     model = build_spline(data)
     xd = variable(args.at)
@@ -119,6 +135,9 @@ def _spline(args) -> Rows:
 
 
 def _diffusivity(args) -> Rows:
+    from .spline import (build_spline, diffusivity, eval_dual,
+                         find_derivative_root)
+
     data = read_xy_csv(args.csv) if args.csv else fixtures.radiometry_fixture()
     model = build_spline(data)
     lo, hi = float(data.x[0]), float(data.x[-1])
@@ -128,7 +147,7 @@ def _diffusivity(args) -> Rows:
         # axis contains it; otherwise start from the strongest interior
         # sample.
         if len(data) > 2:
-            start = float(data.x[int(np.argmax(data.y[1:-1])) + 1])
+            start = float(data.x[int(data.y[1:-1].argmax()) + 1])
         else:
             start = 0.5 * (lo + hi)
     peak = find_derivative_root(model, start)
@@ -178,7 +197,7 @@ PROBLEMS: Dict[str, Problem] = {
                             "identity"))),
         _mechanism,
         {**_within(fixtures.MECHANISM_EXPECTED, _ABS),
-         **_within({"residual": (0.0,)}, 1e-9)},
+         **_within({"residual": (0.0,)}, _RESIDUAL_TOL)},
     ),
     "spline": Problem(
         "spline value and composition derivatives",

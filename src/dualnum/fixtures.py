@@ -8,12 +8,13 @@ checks compare at 1e-4 absolute.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import Dual3, cos, sin
 from .rootfind import MechanismParams
-from .spline import SplineData
+
+if TYPE_CHECKING:
+    from .spline import SplineData
 
 # -- implicit-function example -----------------------------------------
 
@@ -58,9 +59,10 @@ MECHANISM_EXPECTED = {
 
 # -- spline example ------------------------------------------------------
 
-# Samples of ln(x) on [1, 3], step 0.25.
-LN_SAMPLE_X = np.arange(1.0, 3.01, 0.25)
-LN_SAMPLE_Y = np.array([
+# Samples of ln(x) on [1, 3], step 0.25.  Plain tuples, so importing
+# this module loads neither numpy nor dualnum.spline.
+LN_SAMPLE_X = tuple(1.0 + 0.25 * i for i in range(9))
+LN_SAMPLE_Y = (
     0.0,
     0.22314355,
     0.40546511,
@@ -70,7 +72,7 @@ LN_SAMPLE_Y = np.array([
     0.91629073,
     1.0116009,
     1.0986123,
-])
+)
 
 SPLINE_AT = 1.75
 
@@ -84,6 +86,7 @@ SPLINE_EXPECTED = {
 
 
 def ln_sample_data() -> SplineData:
+    from .spline import SplineData
     return SplineData(LN_SAMPLE_X, LN_SAMPLE_Y)
 
 
@@ -109,6 +112,10 @@ def radiometry_fixture() -> SplineData:
     range.  The peak sits at :func:`radiometry_peak_frequency`, so
     running the full pipeline recovers ``TARGET_DIFFUSIVITY``.
     """
+    import numpy as np
+
+    from .spline import SplineData
+
     peak = radiometry_peak_frequency()
     width = 4e-3
     freq = np.linspace(peak - 0.8 * width, peak + 0.8 * width, 33)

@@ -24,6 +24,7 @@ residual tolerance exits the real loop early.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,15 +43,20 @@ DualBivariate = Callable[[Dual3, Dual3], Dual3]
 
 _SETTLE_PASSES = 2
 
+# An iterate's bits: 0.0 == -0.0, yet F may round differently at each.
+_bits = struct.Struct("<d").pack
+
 
 @dataclass(frozen=True)
 class RootConfig:
     """Iteration controls for :func:`find_root`.
 
     ``method`` is ``"newton"`` or ``"halley"``.  ``tol`` is a residual
-    tolerance on ``|F|``; ``tol = 0`` disables the early exit and runs
-    exactly ``max_iters`` real-part iterations, which reproduces
-    fixed-count reference runs.
+    tolerance on ``|F|``; ``tol = 0`` disables the early exit and returns
+    the iterate after exactly ``max_iters`` real-part iterations, which
+    reproduces fixed-count reference runs.  Once an iterate repeats, the
+    rest of the sequence is periodic, so that iterate is read off the
+    cycle instead of computed.
     """
 
     u0: float
@@ -77,10 +83,14 @@ def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
     # One evaluation per iterate: the last one serves the tolerance test
     # and gives the settle phase its slope.
     fd = F(variable(u), x_const)
+    trail = []  # (u, F(u)) of iterates 0..k
+    seen = {}  # _bits(u) -> index in trail
     for k in range(cfg.max_iters + 1):
         resid = fd.f0
         if k == cfg.max_iters or (cfg.tol > 0.0 and abs(resid) <= cfg.tol):
             break
+        seen[_bits(u)] = k
+        trail.append((u, fd))
         fu = fd.f1
         if fu == 0.0:
             raise SingularDerivativeError(
@@ -100,6 +110,14 @@ def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
                 f"non-finite iterate after {k + 1} iterations (u={u})",
                 iterations=k + 1,
             )
+        j = seen.get(_bits(u))
+        if j is not None:
+            # F is pure, so iterate k + 1 repeats iterate j and the rest
+            # cycles with period k + 1 - j: read off the iterate the full
+            # loop would end on.  No iterate of the cycle passed the tol.
+            u, fd = trail[j + (cfg.max_iters - j) % (k + 1 - j)]
+            resid = fd.f0
+            break
         try:
             fd = F(variable(u), x_const)
         except DomainError as exc:

@@ -14,8 +14,10 @@ on this ``T``.  Where ``dgtsv`` is compiled without fused multiply-add
 contraction, as in x86-64 OpenBLAS builds, the slopes equal those of
 ``scipy.linalg.solve_banded`` (which calls ``dgtsv``) bit for bit; the
 sweep itself rounds the same on every platform.  Larger systems go to
-``solve_banded``, imported only then, so scipy stays off the
-``import dualnum`` path.
+``solve_banded``, imported only then.  ``import dualnum`` loads neither
+this module nor numpy: the package imports it on first use of one of
+its names, so numpy loads with the first spline and scipy with the
+first spline above the cutoff.
 :func:`dualnum.reference.tinv_entry` gives ``T^{-1}`` in closed form as an
 independent check.
 

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualnum
 from dualnum.cli import main, read_xy_csv
 from dualnum import ValidationError
 from dualnum import fixtures
@@ -60,6 +64,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "diffusivity", "--csv", str(line))
         assert code == 2
         assert "extremum" in err
+
+    @pytest.mark.parametrize("fn", ["2sin2", "identity"])
+    def test_unconverged_mechanism_is_two(self, capsys, fn):
+        # the mechanism cannot assemble at x0 = 1: after 100 iterations
+        # |F| is still 3.2e-4
+        code, out, err = run(capsys, "mechanism", "--x0", "1.0", "--fn", fn,
+                             "--json")
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical failure: |F| = 3.197e-04")
 
     @pytest.mark.parametrize("t", ["100", "1e300"])
     def test_overflowing_duffing_is_two(self, capsys, t):
@@ -132,53 +145,78 @@ class TestJsonOutput:
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
+SRC = str(Path(dualnum.__file__).parent.parent)
+
+
+GOLDEN_JSON = [
+    ("nr-example1", ["nr-example1"]),
+    ("mechanism", ["mechanism"]),
+    ("mechanism-identity", ["mechanism", "--fn", "identity"]),
+    ("spline", ["spline"]),
+    ("diffusivity", ["diffusivity"]),
+    ("duffing", ["duffing"]),
+]
+
+# Fixture commands under --check, flag variants (a failed check exits 2
+# and is pinned too) and one human-readable table.
+GOLDEN_CHECKED = [
+    ("nr-example1.check.json", ["nr-example1", "--json"], 0),
+    ("mechanism.check.json", ["mechanism", "--json"], 0),
+    ("mechanism-identity.check.json",
+     ["mechanism", "--fn", "identity", "--json"], 0),
+    ("spline.check.json", ["spline", "--json"], 0),
+    ("diffusivity.check.json", ["diffusivity", "--json"], 0),
+    ("duffing.check.json", ["duffing", "--json"], 0),
+    ("spline-at-2.25.check.json", ["spline", "--at", "2.25", "--json"], 2),
+    ("spline-csv-at-2.0.check.json",
+     ["spline", "--csv", str(DATA / "quad.csv"), "--at", "2.0", "--json"],
+     2),
+    ("mechanism-x0-1.5.check.json",
+     ["mechanism", "--x0", "1.5", "--json"], 2),
+    ("duffing-t-2.0.check.json", ["duffing", "--t", "2.0", "--json"], 2),
+    ("diffusivity-thickness-0.001.check.json",
+     ["diffusivity", "--thickness", "0.001", "--json"], 2),
+    ("diffusivity-csv.check.json",
+     ["diffusivity", "--csv", str(DATA / "bump.csv"), "--json"], 0),
+    ("duffing-precision-7.check.txt",
+     ["duffing", "--precision", "7"], 0),
+]
+
+# Every golden as (file, full argv, exit code).
+GOLDEN_RUNS = ([(f"{golden}.json", argv + ["--json"], 0)
+                for golden, argv in GOLDEN_JSON]
+               + [(golden, argv + ["--check"], code)
+                  for golden, argv, code in GOLDEN_CHECKED])
 
 
 class TestGoldenJson:
     """``--json`` stdout of each fixture command, pinned byte for byte."""
 
-    @pytest.mark.parametrize("golden,argv", [
-        ("nr-example1", ["nr-example1"]),
-        ("mechanism", ["mechanism"]),
-        ("mechanism-identity", ["mechanism", "--fn", "identity"]),
-        ("spline", ["spline"]),
-        ("diffusivity", ["diffusivity"]),
-        ("duffing", ["duffing"]),
-    ])
+    @pytest.mark.parametrize("golden,argv", GOLDEN_JSON)
     def test_matches_golden(self, capsys, golden, argv):
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0
         assert out.encode() == (GOLDEN / f"{golden}.json").read_bytes()
 
-    # Fixture commands under --check, flag variants (a failed check exits
-    # 2 and is pinned too) and one human-readable table.
-    @pytest.mark.parametrize("golden,argv,want_code", [
-        ("nr-example1.check.json", ["nr-example1", "--json"], 0),
-        ("mechanism.check.json", ["mechanism", "--json"], 0),
-        ("mechanism-identity.check.json",
-         ["mechanism", "--fn", "identity", "--json"], 0),
-        ("spline.check.json", ["spline", "--json"], 0),
-        ("diffusivity.check.json", ["diffusivity", "--json"], 0),
-        ("duffing.check.json", ["duffing", "--json"], 0),
-        ("spline-at-2.25.check.json", ["spline", "--at", "2.25", "--json"], 2),
-        ("spline-csv-at-2.0.check.json",
-         ["spline", "--csv", str(DATA / "quad.csv"), "--at", "2.0", "--json"],
-         2),
-        ("mechanism-x0-1.5.check.json",
-         ["mechanism", "--x0", "1.5", "--json"], 2),
-        ("duffing-t-2.0.check.json", ["duffing", "--t", "2.0", "--json"], 2),
-        ("diffusivity-thickness-0.001.check.json",
-         ["diffusivity", "--thickness", "0.001", "--json"], 2),
-        ("diffusivity-csv.check.json",
-         ["diffusivity", "--csv", str(DATA / "bump.csv"), "--json"], 0),
-        ("duffing-precision-7.check.txt",
-         ["duffing", "--precision", "7"], 0),
-    ])
+    @pytest.mark.parametrize("golden,argv,want_code", GOLDEN_CHECKED)
     def test_checked_run_matches_golden(self, capsys, golden, argv,
                                         want_code):
         code, out, err = run(capsys, *argv, "--check")
         assert (code, err) == (want_code, "")
         assert out.encode() == (GOLDEN / golden).read_bytes()
+
+    # In this process numpy and dualnum.spline are already loaded, so an
+    # import that fails only in a cold interpreter shows only here.
+    @pytest.mark.parametrize("golden,argv,want_code", GOLDEN_RUNS,
+                             ids=[run[0] for run in GOLDEN_RUNS])
+    def test_fresh_process_matches_golden(self, golden, argv, want_code):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "dualnum", *argv],
+                              env=env, capture_output=True)
+        assert (proc.returncode, proc.stderr) == (want_code, b"")
+        assert proc.stdout == (GOLDEN / golden).read_bytes()
 
 
 class TestHumanOutput:

@@ -79,13 +79,47 @@ def fresh_python(code):
                           capture_output=True, text=True, check=True).stdout
 
 
-@pytest.mark.parametrize("module", ["dualnum.reference", "scipy"])
+@pytest.mark.parametrize("module", ["dualnum.reference", "scipy", "numpy"])
 def test_import_leaves_module_unloaded(module):
-    # the oracles are for verification, and scipy serves only splines
-    # above the sweep's cutoff: importing the library loads neither
+    # the oracles are for verification, scipy serves only splines above
+    # the sweep's cutoff and numpy only splines: importing the library
+    # loads none of them
     out = fresh_python(
         f"import sys, dualnum; print({module!r} in sys.modules)")
     assert out == "False\n"
+
+
+def test_array_free_subcommands_leave_numpy_unloaded():
+    out = fresh_python(
+        "import contextlib, io, sys\n"
+        "from dualnum import cli\n"
+        "for argv in (['nr-example1'], ['mechanism'],"
+        " ['mechanism', '--fn', 'identity'], ['duffing']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv + ['--json', '--check']) == 0, argv\n"
+        "print(sorted({'numpy', 'dualnum.spline'} & set(sys.modules)))")
+    assert out == "[]\n"
+
+
+def test_spline_names_load_on_first_use():
+    out = fresh_python(
+        "import sys, dualnum\n"
+        "data = dualnum.SplineData\n"
+        "import dualnum.spline\n"
+        "print('numpy' in sys.modules, data is dualnum.spline.SplineData)")
+    assert out == "True True\n"
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from dualnum import *", namespace)
+    assert [name for name in dualnum.__all__ if name not in namespace] == []
+    assert set(dualnum.__all__) <= set(dir(dualnum))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dualnum.no_such_name
 
 
 def test_fixture_subcommands_leave_scipy_unloaded():

@@ -257,20 +257,23 @@ class TestErrors:
         assert err.value.iterations == 1
 
     @pytest.mark.parametrize("tol,max_iters,calls", [
-        (1e-12, 10, 2 + 2),  # u0 and the exact root u1, then the settle
-        (0.0, 5, 6 + 2),
+        (1e-12, 10, 2 + 2),  # u0, and u1 with |F| = 5.6e-13; the settle
+        (0.0, 5, 6 + 2),     # u0..u5, none repeated; the settle
     ])
     def test_one_residual_call_per_iterate(self, tol, max_iters, calls):
+        # at a double root Newton halves the distance each step, so no
+        # iterate repeats within the budget
         seen = []
 
         def counted(u, x):
             seen.append(u.f0)
-            return identity_eq(u, x)
+            return 4e-12 * (u - x) * (u - x)
 
-        root = find_root(cfg(0.0, tol=tol, max_iters=max_iters), counted,
-                         variable(0.75))
-        assert (root.f0, root.f1, root.f2) == (0.75, 1.0, 0.0)
+        find_root(cfg(0.0, tol=tol, max_iters=max_iters), counted,
+                  variable(0.75))
         assert len(seen) == calls
+        iterates = seen[:-2]
+        assert len(set(iterates)) == len(iterates)
 
     def test_non_convergence_carries_residual(self):
         def rootless(u, x):
@@ -281,6 +284,135 @@ class TestErrors:
                       variable(1.0))
         assert math.isfinite(err.value.residual)
         assert abs(err.value.residual) > 1e-12
+
+
+def fixed_count_root(cfg, F, g):
+    """``find_root`` before the cycle stop: every iterate is computed."""
+    newton = cfg.method == "newton"
+    x_const = constant(g.f0)
+    u = float(cfg.u0)
+    fd = F(variable(u), x_const)
+    for k in range(cfg.max_iters + 1):
+        resid = fd.f0
+        if k == cfg.max_iters or (cfg.tol > 0.0 and abs(resid) <= cfg.tol):
+            break
+        fu = fd.f1
+        if fu == 0.0:
+            raise SingularDerivativeError(f"dF/du vanished at iterate {k}")
+        if newton:
+            u = u - resid / fu
+        else:
+            denom = 2.0 * fu * fu - resid * fd.f2
+            if denom == 0.0:
+                raise SingularDerivativeError("Halley denominator vanished")
+            u = u - 2.0 * resid * fu / denom
+        if not math.isfinite(u):
+            raise DivergenceError("non-finite iterate", iterations=k + 1)
+        try:
+            fd = F(variable(u), x_const)
+        except DomainError as exc:
+            raise DivergenceError(str(exc), iterations=k + 1) from exc
+    if cfg.tol > 0.0 and abs(resid) > cfg.tol:
+        raise NonConvergenceError("not converged", residual=resid)
+    slope = fd.f1
+    if slope == 0.0:
+        raise SingularDerivativeError(f"dF/du vanished at the root u={u}")
+    slope_const = constant(slope)
+    ud = Dual3(u)
+    for _ in range(2):
+        ud = ud - F(ud, g) / slope_const
+    return ud
+
+
+def outcome(solve, *args):
+    """Components as bits, or the exception class and its payload."""
+    try:
+        d = solve(*args)
+    except (DivergenceError, NonConvergenceError) as exc:
+        return type(exc), vars(exc).get("iterations"), repr(
+            vars(exc).get("residual"))
+    except ArithmeticError as exc:
+        return type(exc)
+    return tuple(c.hex() for c in (d.f0, d.f1, d.f2))
+
+
+def signed_zero_eq(u, x):
+    # u - x, except at u = -0.0 where it is 2u: a step from -0.0 lands on
+    # +0.0, which equals -0.0 yet is a new iterate with another slope
+    if u.f0 == 0.0 and math.copysign(1.0, u.f0) < 0.0:
+        return 2.0 * u
+    return u - x
+
+
+def _seeded_cases():
+    rng = np.random.default_rng(20261018)
+    mech = fixtures.MECHANISM_PARAMS.loop_closure
+    nr1 = fixtures.nr_example1_equation
+    cases = []
+    for theta in rng.uniform(0.0, 2.0 * math.pi, 12):
+        cases.append((mech, float(rng.uniform(0.3, 2.0)), variable(theta)))
+    # where the mechanism cannot assemble, no iterate converges
+    for theta in rng.uniform(0.917, 1.143, 3):
+        cases.append((mech, 1.0, variable(theta)))
+    for x in rng.uniform(0.1, 2.1, 12):
+        xd = variable(x)
+        cases.append((nr1, 2.0, xd))
+        cases.append((nr1, 2.0, sin(xd) + xd * xd))
+    return cases
+
+
+class TestCycleStop:
+    @pytest.mark.parametrize("tol", [0.0, 1e-12])
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    def test_bits_match_the_fixed_count_loop(self, method, tol):
+        for F, u0, g in _seeded_cases():
+            c = cfg(u0, method=method, tol=tol, max_iters=100)
+            assert outcome(find_root, c, F, g) == outcome(
+                fixed_count_root, c, F, g), (F, u0, g)
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3, 10])
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    def test_signed_zero_iterates_are_distinct(self, method, max_iters):
+        # keyed on ==, +0.0 would repeat u0 = -0.0, and the settle would
+        # start from -0.0 with slope 2 and end on (0.25, 0.5, 0)
+        c = cfg(-0.0, method=method, tol=0.0, max_iters=max_iters)
+        got = outcome(find_root, c, signed_zero_eq, variable(0.5))
+        assert got == outcome(fixed_count_root, c, signed_zero_eq,
+                              variable(0.5))
+        assert got == tuple(c.hex() for c in (0.5, 1.0, 0.0))
+
+    @pytest.mark.parametrize("max_iters", [5, 100])
+    def test_fixed_point_stops_the_loop(self, max_iters):
+        # u1 is the exact root and u2 repeats it: two evaluations, not
+        # max_iters + 1, then the settle
+        seen = []
+
+        def counted(u, x):
+            seen.append(u.f0)
+            return identity_eq(u, x)
+
+        root = find_root(cfg(0.0, tol=0.0, max_iters=max_iters), counted,
+                         variable(0.75))
+        assert (root.f0, root.f1, root.f2) == (0.75, 1.0, 0.0)
+        assert len(seen) == 2 + 2
+
+    @pytest.mark.parametrize("max_iters", [1000, 1001])
+    def test_cycle_without_convergence_raises_at_once(self, max_iters):
+        # Newton on u^2 + 1 from 1/sqrt(3) jumps to -1/sqrt(3) and back;
+        # the residual is that of the iterate max_iters lands on
+        seen = []
+
+        def counted(u, x):
+            seen.append(u.f0)
+            return u * u + constant(1.0) + (x - x)
+
+        c = cfg(1.0 / math.sqrt(3.0), tol=1e-12, max_iters=max_iters)
+        with pytest.raises(NonConvergenceError) as err:
+            find_root(c, counted, variable(1.0))
+        assert len(seen) < 10
+        with pytest.raises(NonConvergenceError) as want:
+            fixed_count_root(c, counted, variable(1.0))
+        assert err.value.residual == want.value.residual
 
 
 class TestMechanism:
