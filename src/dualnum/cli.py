@@ -23,7 +23,8 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
 
 from . import fixtures
 from .core import Dual3, constant, sin, variable
-from .errors import NonConvergenceError, NumericalError, ValidationError
+from .errors import (NonConvergenceError, NumericalError, ValidationError,
+                     check_finite)
 from .ode import duffing_problem, rk4dual
 from .rootfind import RootConfig, find_root
 
@@ -141,7 +142,7 @@ def _diffusivity(args) -> Rows:
     data = read_xy_csv(args.csv) if args.csv else fixtures.radiometry_fixture()
     model = build_spline(data)
     lo, hi = float(data.x[0]), float(data.x[-1])
-    start = args.x0
+    start = check_finite("--x0", args.x0)
     if not (lo <= start <= hi):
         # The documented default start (10) assumes data whose frequency
         # axis contains it; otherwise start from the strongest interior

@@ -34,7 +34,7 @@ import math
 from dataclasses import FrozenInstanceError
 from typing import Callable, Union
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, check_finite
 
 Number = Union[int, float]
 
@@ -239,30 +239,14 @@ def _mk(r0: float, r1: float, r2: float) -> Dual3:
     return d
 
 
-def _seed_error(what: str, x: Number) -> ValidationError:
-    # only a non-finite float or an int beyond float range gets here
-    shown = f"an int of {x.bit_length()} bits" if isinstance(x, int) else x
-    return ValidationError(f"{what} must be finite, got {shown}")
-
-
 def variable(x: Number) -> Dual3:
     """Seed ``x`` as the differentiation variable: ``{x, 1, 0}``."""
-    try:
-        if math.isfinite(x):
-            return _mk(float(x), 1.0, 0.0)
-    except OverflowError:  # an int beyond float range
-        pass
-    raise _seed_error("variable seed", x)
+    return _mk(check_finite("variable seed", x), 1.0, 0.0)
 
 
 def constant(c: Number) -> Dual3:
     """Embed a constant: ``{c, 0, 0}``.  Derivatives stay zero forever."""
-    try:
-        if math.isfinite(c):
-            return _mk(float(c), 0.0, 0.0)
-    except OverflowError:  # an int beyond float range
-        pass
-    raise _seed_error("constant", c)
+    return _mk(check_finite("constant", c), 0.0, 0.0)
 
 
 def _chain(j0: float, j1: float, j2: float, g: Dual3) -> Dual3:

@@ -2,10 +2,11 @@
 
 Two roots: :class:`ValidationError` for rejected inputs and
 :class:`NumericalError` for failures that occur while computing.  The CLI
-maps them to exit codes 1 and 2 respectively.  :func:`check_count` is
-the one input check the solvers share.
+maps them to exit codes 1 and 2 respectively.  :func:`check_finite` and
+:func:`check_count` are the two input checks every module shares.
 """
 
+import math
 import operator
 
 
@@ -74,3 +75,18 @@ def check_count(name: str, value) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if count < 1:
         raise ValidationError(f"{name} must be >= 1, got {count}")
+
+
+def check_finite(name: str, value) -> float:
+    """``float(value)``; :class:`ValidationError` unless ``value`` is a
+    finite real number.  An ``int`` beyond float range counts as infinite."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be a real number, got "
+                              f"{type(value).__name__}") from None
+    except OverflowError:  # show a huge int by its size, not its digits
+        if isinstance(value, int):
+            value = f"an int of {value.bit_length()} bits"
+    raise ValidationError(f"{name} must be finite, got {value}")

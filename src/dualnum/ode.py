@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from .core import Dual3, compose
-from .errors import BlowUpError, DomainError, ValidationError, check_count
+from .errors import BlowUpError, DomainError, check_count, check_finite
 
 Rhs = Callable[[float, float, float], float]
 
@@ -37,13 +37,15 @@ class OdeProblem:
     num_steps: int
 
     def __post_init__(self):
+        for name in ("t0", "x10", "x20"):
+            object.__setattr__(self, name,
+                               check_finite(name, getattr(self, name)))
         check_count("num_steps", self.num_steps)
 
 
 def rk4(problem: OdeProblem, t_end: float) -> Tuple[float, float]:
     """Integrate to ``t_end`` in exactly ``num_steps`` uniform steps."""
-    if not math.isfinite(t_end):
-        raise ValidationError(f"t_end must be finite, got {t_end}")
+    t_end = check_finite("t_end", t_end)
     u1, u2 = problem.rhs1, problem.rhs2
     h = (t_end - problem.t0) / problem.num_steps
     t, x1, x2 = problem.t0, problem.x10, problem.x20

@@ -88,47 +88,9 @@ def jordan_poly_derivs(poly_coeffs, x: float, order: int) -> np.ndarray:
     return np.array([acc[0, k] * math.factorial(k) for k in range(m)])
 
 
-@dataclass(frozen=True)
-class Tridiagonal:
-    """General tridiagonal matrix: diagonal ``a``, super ``b``, sub ``c``."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        n = a.size
-        if n < 1:
-            raise ValidationError("matrix must have at least one row")
-        if b.size != n - 1 or c.size != n - 1:
-            raise ValidationError(
-                f"off-diagonals must have length {n - 1}, "
-                f"got {b.size} and {c.size}"
-            )
-        for name, arr in (("a", a), ("b", b), ("c", c)):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"non-finite entries in {name}")
-            arr.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-
-    @property
-    def n(self) -> int:
-        return int(self.a.size)
-
-    def dense(self) -> np.ndarray:
-        full = np.diag(self.a)
-        if self.n > 1:
-            full += np.diag(self.b, 1) + np.diag(self.c, -1)
-        return full
-
-
-def usmani_inverse(m: Tridiagonal) -> np.ndarray:
-    """Full inverse from the two-sided theta/phi recurrences.
+def usmani_inverse(a, b, c) -> np.ndarray:
+    """Inverse of the tridiagonal matrix with diagonal ``a``, superdiagonal
+    ``b`` and subdiagonal ``c``, from the two-sided theta/phi recurrences.
 
     theta ascends from ``theta_0 = 1, theta_1 = a_1``; phi descends from
     ``phi_{n+1} = 1, phi_n = a_n``; entry ``(i, j)`` is a signed product
@@ -136,12 +98,19 @@ def usmani_inverse(m: Tridiagonal) -> np.ndarray:
     roles below the diagonal).  Deliberately the O(n^2) textbook form:
     this is a verification route, not a solver.
     """
-    n = m.n
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    n = a.size
+    if n < 1:
+        raise ValidationError("matrix must have at least one row")
+    if b.size != n - 1 or c.size != n - 1:
+        raise ValidationError(f"off-diagonals must have length {n - 1}, "
+                              f"got {b.size} and {c.size}")
+    if not all(np.isfinite(v).all() for v in (a, b, c)):
+        raise ValidationError("matrix entries must be finite")
     if n > MAX_USMANI_SIZE:
         raise UnsupportedSizeError(
             f"usmani_inverse supports n <= {MAX_USMANI_SIZE}, got {n}"
         )
-    a, b, c = m.a, m.b, m.c
 
     theta = np.empty(n + 1)
     phi = np.empty(n + 2)

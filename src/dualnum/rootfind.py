@@ -36,6 +36,7 @@ from .errors import (
     SingularDerivativeError,
     ValidationError,
     check_count,
+    check_finite,
 )
 
 # F~(u~, x~) built from dual operations; must be pure and re-entrant.
@@ -67,18 +68,19 @@ class RootConfig:
     def __post_init__(self):
         if self.method not in ("newton", "halley"):
             raise ValidationError(f"unknown method {self.method!r}")
-        if not math.isfinite(self.u0):
-            raise ValidationError(f"u0 must be finite, got {self.u0}")
+        object.__setattr__(self, "u0", check_finite("u0", self.u0))
         check_count("max_iters", self.max_iters)
-        if not 0.0 <= self.tol < math.inf:
-            raise ValidationError(f"tol must be finite and >= 0: {self.tol}")
+        tol = check_finite("tol", self.tol)
+        if tol < 0.0:
+            raise ValidationError(f"tol must be >= 0, got {tol}")
+        object.__setattr__(self, "tol", tol)
 
 
 def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
     """Solve ``F(u, g.f0) = 0`` by ``cfg.method``; derivatives from ``g``."""
     newton = cfg.method == "newton"
     x_const = constant(g.f0)
-    u = float(cfg.u0)
+    u = cfg.u0
 
     # One evaluation per iterate: the last one serves the tolerance test
     # and gives the settle phase its slope.
@@ -136,10 +138,9 @@ def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
     slope = fd.f1
     if slope == 0.0:
         raise SingularDerivativeError(f"dF/du vanished at the root u={u}")
-    slope_const = constant(slope)
     ud = Dual3(u)
     for _ in range(_SETTLE_PASSES):
-        ud = ud - F(ud, g) / slope_const
+        ud = ud - F(ud, g) / slope
     return ud
 
 
@@ -168,17 +169,15 @@ class MechanismParams:
 
     def __post_init__(self):
         for name in ("L", "l", "a", "R", "s1", "s2", "b", "e"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(
-                    f"{name} must be finite, got {getattr(self, name)}"
-                )
+            object.__setattr__(self, name,
+                               check_finite(name, getattr(self, name)))
         for tag in ("1", "2"):
             s, c = getattr(self, "s" + tag), getattr(self, "c" + tag)
             if abs(s) > 1.0:
                 raise ValidationError(f"|s{tag}| = {abs(s)} > 1")
-            if c is None:
-                c = math.sqrt(1.0 - s ** 2)
-                object.__setattr__(self, "c" + tag, c)
+            c = (math.sqrt(1.0 - s ** 2) if c is None
+                 else check_finite("c" + tag, c))
+            object.__setattr__(self, "c" + tag, c)
             if not abs(s * s + c * c - 1.0) <= 1e-12:
                 raise ValidationError(
                     f"s{tag}^2 + c{tag}^2 = {s * s + c * c} != 1"

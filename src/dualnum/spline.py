@@ -41,6 +41,7 @@ from .errors import (
     OutOfRangeError,
     SingularDerivativeError,
     ValidationError,
+    check_finite,
 )
 
 
@@ -54,8 +55,11 @@ class SplineData:
     def __post_init__(self):
         # Copies: a view would alias the caller's buffer, which could
         # then be edited past the checks below or set read-only.
-        x = np.array(self.x, dtype=float)
-        y = np.array(self.y, dtype=float)
+        try:
+            x, y = (np.array(v, dtype=float) for v in (self.x, self.y))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(
+                f"data points must be real numbers: {exc}") from None
         if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
             raise ValidationError("x and y must be 1-d arrays of equal length")
         if x.size < 2:
@@ -230,6 +234,7 @@ def find_derivative_root(model: SplineModel, x0: float) -> float:
     Numerical Algorithms*, 2nd ed., section 1.8); of those with ``t`` in
     ``[0, 1]`` the one nearest ``x0`` is returned.
     """
+    x0 = check_finite("x0", x0)
     knots = model.data.x
     lo, hi = knots.item(0), knots.item(-1)
     if not (lo <= x0 <= hi):
@@ -282,8 +287,9 @@ def find_derivative_root(model: SplineModel, x0: float) -> float:
 def diffusivity(thickness: float, peak_frequency: float) -> float:
     """Thermal diffusivity from sample thickness and the frequency at
     which the amplitude derivative vanishes: ``64 L f1 / (9 pi)``."""
+    thickness = check_finite("thickness", thickness)
+    peak_frequency = check_finite("peak frequency", peak_frequency)
     alpha = 64.0 * thickness * peak_frequency / (9.0 * math.pi)
-    # an infinite input makes alpha infinite unless the other is <= 0
     if not (thickness > 0.0 and peak_frequency > 0.0 and alpha < math.inf):
         raise ValidationError(
             "thickness and peak frequency must be > 0 and give a finite "

@@ -34,7 +34,6 @@ from dualnum import (
 from dualnum import fixtures
 from dualnum.cli import main
 from dualnum.reference import (
-    Tridiagonal,
     central_diff,
     jordan_poly_derivs,
     tinv_entry,
@@ -117,9 +116,9 @@ def test_criterion_6_closed_form_inverse():
     with criterion(6, "closed-form inverse vs recurrences (n<=50) and "
                       "identity residual (n<=100) at 1e-10"):
         for n in range(2, 51):
-            tri = Tridiagonal(np.array([2.0] + [4.0] * (n - 2) + [2.0]),
-                              np.ones(n - 1), np.ones(n - 1))
-            general = usmani_inverse(tri)
+            diagonal = np.array([2.0] + [4.0] * (n - 2) + [2.0])
+            general = usmani_inverse(diagonal, np.ones(n - 1),
+                                     np.ones(n - 1))
             closed = np.array([[tinv_entry(n, s, k)
                                 for k in range(1, n + 1)]
                                for s in range(1, n + 1)])

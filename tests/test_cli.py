@@ -88,6 +88,14 @@ class TestExitCodes:
         assert out == ""
         assert "thickness" in err
 
+    @pytest.mark.parametrize("x0", ["nan", "inf"])
+    def test_non_finite_diffusivity_start_is_one(self, capsys, x0):
+        # a finite start outside the data falls back to the strongest
+        # sample; a non-finite one is rejected, not replaced
+        code, out, err = run(capsys, "diffusivity", "--x0", x0, "--json")
+        assert (code, out) == (1, "")
+        assert err == f"error: --x0 must be finite, got {x0}\n"
+
     def test_out_of_range_at_is_one(self, capsys):
         code, _, err = run(capsys, "spline", "--at", "99.0")
         assert code == 1

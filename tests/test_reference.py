@@ -8,7 +8,6 @@ from dualnum import reference
 from dualnum.reference import (
     MAX_USMANI_SIZE,
     SingularMatrixError,
-    Tridiagonal,
     UnsupportedSizeError,
     central_diff,
     jordan_poly_derivs,
@@ -84,16 +83,22 @@ class TestJordanPolyDerivs:
             jordan_poly_derivs([], 1.0, 2)
 
 
+def dense(a, b, c):
+    """The tridiagonal matrix with diagonal a, superdiagonal b and
+    subdiagonal c."""
+    return np.diag(a) + np.diag(b, 1) + np.diag(c, -1)
+
+
 class TestUsmaniInverse:
     def test_hand_inverted_two_by_two(self):
-        tri = Tridiagonal(np.array([2.0, 2.0]), np.array([1.0]),
-                          np.array([1.0]))
+        got = usmani_inverse(np.array([2.0, 2.0]), np.array([1.0]),
+                             np.array([1.0]))
         want = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
-        assert np.allclose(usmani_inverse(tri), want, atol=1e-14)
+        assert np.allclose(got, want, atol=1e-14)
 
     def test_identity(self):
-        tri = Tridiagonal(np.ones(6), np.zeros(5), np.zeros(5))
-        assert np.array_equal(usmani_inverse(tri), np.eye(6))
+        assert np.array_equal(
+            usmani_inverse(np.ones(6), np.zeros(5), np.zeros(5)), np.eye(6))
 
     def test_random_diagonally_dominant_residual(self):
         rng = np.random.RandomState(23)
@@ -102,44 +107,48 @@ class TestUsmaniInverse:
             b = rng.uniform(-1.0, 1.0, n - 1)
             c = rng.uniform(-1.0, 1.0, n - 1)
             a = 3.0 + rng.uniform(0.0, 1.0, n)
-            tri = Tridiagonal(a, b, c)
-            inv = usmani_inverse(tri)
-            assert np.max(np.abs(tri.dense() @ inv - np.eye(n))) <= 1e-9
+            inv = usmani_inverse(a, b, c)
+            assert np.max(np.abs(dense(a, b, c) @ inv - np.eye(n))) <= 1e-9
 
     def test_asymmetric_matrix(self):
-        tri = Tridiagonal(np.array([4.0, 5.0, 6.0]), np.array([1.0, 2.0]),
-                          np.array([3.0, 1.0]))
-        assert np.allclose(usmani_inverse(tri),
-                           np.linalg.inv(tri.dense()), atol=1e-12)
+        a = np.array([4.0, 5.0, 6.0])
+        b, c = np.array([1.0, 2.0]), np.array([3.0, 1.0])
+        assert np.allclose(usmani_inverse(a, b, c),
+                           np.linalg.inv(dense(a, b, c)), atol=1e-12)
 
     def test_singular_matrix(self):
         # rows sum to the same multiple of an eigenvector: det = 0
-        tri = Tridiagonal(np.array([1.0, 1.0]), np.array([1.0]),
-                          np.array([1.0]))
         with pytest.raises(SingularMatrixError):
-            usmani_inverse(tri)
+            usmani_inverse(np.array([1.0, 1.0]), np.array([1.0]),
+                           np.array([1.0]))
 
     def test_every_size_ignores_uninitialised_scratch(self, monkeypatch):
         # scratch arrays start as NaN, so a read of an unwritten slot
         # fails on every run, whatever the allocator hands back
         rng = np.random.RandomState(29)
         for n in range(1, MAX_USMANI_SIZE + 1):
-            tri = Tridiagonal(4.0 + rng.uniform(0.0, 1.0, n),
-                              rng.uniform(-1.0, 1.0, n - 1),
-                              rng.uniform(-1.0, 1.0, n - 1))
-            want = np.linalg.inv(tri.dense())
+            a = 4.0 + rng.uniform(0.0, 1.0, n)
+            b = rng.uniform(-1.0, 1.0, n - 1)
+            c = rng.uniform(-1.0, 1.0, n - 1)
+            want = np.linalg.inv(dense(a, b, c))
             with monkeypatch.context() as m:
                 m.setattr(reference.np, "empty",
                           lambda shape: np.full(shape, np.nan))
-                got = usmani_inverse(tri)
+                got = usmani_inverse(a, b, c)
             assert np.all(np.isfinite(got))
             assert np.max(np.abs(got - want)) <= 1e-12, n
 
     def test_size_cap(self):
-        tri = Tridiagonal(np.ones(201), np.zeros(200), np.zeros(200))
         with pytest.raises(UnsupportedSizeError):
-            usmani_inverse(tri)
+            usmani_inverse(np.ones(201), np.zeros(200), np.zeros(200))
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
-            Tridiagonal(np.ones(3), np.ones(3), np.ones(2))
+            usmani_inverse(np.ones(3), np.ones(3), np.ones(2))
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_non_finite_entry(self, which):
+        arrays = [np.ones(3), np.zeros(2), np.zeros(2)]
+        arrays[which][1] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            usmani_inverse(*arrays)

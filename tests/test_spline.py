@@ -24,7 +24,6 @@ from dualnum import (
 from dualnum import fixtures
 from dualnum.spline import _SWEEP_MAX_KNOTS, _sweep
 from dualnum.reference import (
-    Tridiagonal,
     UnsupportedSizeError,
     tinv_entry,
     usmani_inverse,
@@ -254,9 +253,9 @@ class TestClosedFormInverse:
 
     def test_matches_general_recurrences(self):
         for n in range(2, 51):
-            tri = Tridiagonal(np.array([2.0] + [4.0] * (n - 2) + [2.0]),
-                              np.ones(n - 1), np.ones(n - 1))
-            general = usmani_inverse(tri)
+            diagonal = np.array([2.0] + [4.0] * (n - 2) + [2.0])
+            general = usmani_inverse(diagonal, np.ones(n - 1),
+                                     np.ones(n - 1))
             closed = np.array([[tinv_entry(n, s, k) for k in range(1, n + 1)]
                                for s in range(1, n + 1)])
             assert np.max(np.abs(general - closed)) <= 1e-10
