@@ -63,17 +63,13 @@ def _non_finite(r0: float, r1: float, r2: float):
     )
 
 
-def _zero_division():
-    raise DomainError("dual division by zero: denominator real part is 0.0")
-
-
 class Dual3:
     """A value with its first and second derivative: ``{f, f', f''}``.
 
     Instances are immutable and all operations are pure, so values may be
-    shared and used from any number of threads.  An ``int`` or ``float``
-    operand acts as the constant ``{c, 0, 0}``, bit for bit; an infinite
-    one, which no ``Dual3`` holds, enters the same expressions.
+    shared and used from any number of threads.  A number operand acts
+    as the constant ``{c, 0, 0}``, bit for bit; ``inf`` and ``nan`` raise
+    ``DomainError``, except in ``d / inf``, which gives signed zeros.
     """
 
     __slots__ = ("f0", "f1", "f2")
@@ -115,63 +111,52 @@ class Dual3:
         return f"Dual3({self.f0!r}, {self.f1!r}, {self.f2!r})"
 
     # -- arithmetic ----------------------------------------------------
-    # A scalar c takes the place of {c, 0, 0} in the same expressions, so
-    # signed zeros and inf * 0 come out as they would for a wrapped Dual3.
+    # A number operand c is {c, 0, 0}, read into b0, b1, b2 like a Dual3's.
     def __add__(self, other) -> "Dual3":
         if isinstance(other, Dual3):
-            return _mk(self.f0 + other.f0, self.f1 + other.f1,
-                       self.f2 + other.f2)
-        c = _scalar(other)
-        return _mk(self.f0 + c, self.f1 + 0.0, self.f2 + 0.0)
+            b0, b1, b2 = other.f0, other.f1, other.f2
+        else:
+            b0, b1, b2 = _scalar(other), 0.0, 0.0
+        return _mk(self.f0 + b0, self.f1 + b1, self.f2 + b2)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Dual3":
         if isinstance(other, Dual3):
-            return _mk(self.f0 - other.f0, self.f1 - other.f1,
-                       self.f2 - other.f2)
-        c = _scalar(other)
-        return _mk(self.f0 - c, self.f1 - 0.0, self.f2 - 0.0)
+            b0, b1, b2 = other.f0, other.f1, other.f2
+        else:
+            b0, b1, b2 = _scalar(other), 0.0, 0.0
+        return _mk(self.f0 - b0, self.f1 - b1, self.f2 - b2)
 
     def __rsub__(self, other) -> "Dual3":
         c = _scalar(other)
         return _mk(c - self.f0, 0.0 - self.f1, 0.0 - self.f2)
 
     def __mul__(self, other) -> "Dual3":
-        a0, a1, a2 = self.f0, self.f1, self.f2
         if isinstance(other, Dual3):
             b0, b1, b2 = other.f0, other.f1, other.f2
-            return _mk(a0 * b0, a1 * b0 + a0 * b1,
-                       a2 * b0 + 2.0 * a1 * b1 + a0 * b2)
-        c = _scalar(other)
-        return _mk(a0 * c, a1 * c + a0 * 0.0,
-                   a2 * c + 2.0 * a1 * 0.0 + a0 * 0.0)
+        else:
+            b0, b1, b2 = _scalar(other), 0.0, 0.0
+        a0, a1 = self.f0, self.f1
+        return _mk(a0 * b0, a1 * b0 + a0 * b1,
+                   self.f2 * b0 + 2.0 * a1 * b1 + a0 * b2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Dual3":
         if isinstance(other, Dual3):
             b0, b1, b2 = other.f0, other.f1, other.f2
-            if b0 == 0.0:
-                _zero_division()
-            q0 = self.f0 / b0
-            q1 = (self.f1 - q0 * b1) / b0
-            return _mk(q0, q1, (self.f2 - 2.0 * q1 * b1 - q0 * b2) / b0)
-        c = _scalar(other)
-        if c == 0.0:
-            _zero_division()
-        q0 = self.f0 / c
-        q1 = (self.f1 - q0 * 0.0) / c
-        return _mk(q0, q1, (self.f2 - 2.0 * q1 * 0.0 - q0 * 0.0) / c)
+        else:
+            b0, b1, b2 = _scalar(other), 0.0, 0.0
+        if b0 == 0.0:
+            raise DomainError(
+                "dual division by zero: denominator real part is 0.0")
+        q0 = self.f0 / b0
+        q1 = (self.f1 - q0 * b1) / b0
+        return _mk(q0, q1, (self.f2 - 2.0 * q1 * b1 - q0 * b2) / b0)
 
     def __rtruediv__(self, other) -> "Dual3":
-        c = _scalar(other)
-        b0, b1 = self.f0, self.f1
-        if b0 == 0.0:
-            _zero_division()
-        q0 = c / b0
-        q1 = (0.0 - q0 * b1) / b0
-        return _mk(q0, q1, (0.0 - 2.0 * q1 * b1 - q0 * self.f2) / b0)
+        return _as_dual(other) / self
 
     def __neg__(self) -> "Dual3":
         # the jet of -x: f2 is 0*g1*g1 - g2, +0.0 when g2 is zero

@@ -98,10 +98,9 @@ DIFFUSIVITY_X0 = 10.0
 DIFFUSIVITY_RTOL = 0.02
 
 
-def radiometry_peak_frequency(thickness: float = SAMPLE_THICKNESS,
-                              alpha: float = TARGET_DIFFUSIVITY) -> float:
+def radiometry_peak_frequency() -> float:
     """Peak frequency implied by inverting the diffusivity formula."""
-    return 9.0 * math.pi * alpha / (64.0 * thickness)
+    return 9.0 * math.pi * TARGET_DIFFUSIVITY / (64.0 * SAMPLE_THICKNESS)
 
 
 def radiometry_fixture() -> SplineData:

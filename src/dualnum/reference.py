@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Dual3
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_finite
 
 _EPS = float(np.finfo(float).eps)
 
@@ -51,6 +51,7 @@ def central_diff(f: Callable[[float], float], x: float, order: int) -> float:
     Step sizes balance truncation against cancellation: ``eps**(1/3)``
     scaled by ``max(1, |x|)`` for order 1 and ``eps**(1/4)`` for order 2.
     """
+    x = check_finite("x", x)
     if order == 1:
         h = _EPS ** (1.0 / 3.0) * max(1.0, abs(x))
         hi, lo = f(x + h), f(x - h)
@@ -75,6 +76,7 @@ def jordan_poly_derivs(poly_coeffs, x: float, order: int) -> np.ndarray:
     column ``k``; scaling by ``k!`` gives the derivatives.  No derivative
     rule of any kind is used.
     """
+    x = check_finite("x", x)
     coeffs = np.asarray(poly_coeffs, dtype=float)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValidationError("polynomial coefficients must be a non-empty 1-d list")

@@ -56,7 +56,12 @@ class SplineData:
         # Copies: a view would alias the caller's buffer, which could
         # then be edited past the checks below or set read-only.
         try:
-            x, y = (np.array(v, dtype=float) for v in (self.x, self.y))
+            x, y = (np.array(v) for v in (self.x, self.y))
+            for a in x, y:  # with dtype=float, numpy would parse "2"
+                if a.dtype.kind in "SUc" or a.dtype.kind == "O" and any(
+                        isinstance(e, (str, bytes)) for e in a.flat):
+                    raise TypeError("got a str, bytes or complex element")
+            x, y = x.astype(float, copy=False), y.astype(float, copy=False)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
                 f"data points must be real numbers: {exc}") from None

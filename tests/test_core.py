@@ -190,6 +190,29 @@ class TestScalarOperands:
         assert math.copysign(1.0, (0.0 - d).f1) == 1.0
         assert math.copysign(1.0, (d * 1.0).f1) == 1.0
 
+    # A number c enters each operator's one formula as {c, 0, 0}.  These
+    # pin a reflected signed zero and the infinite or NaN c, for which the
+    # property test above has no Dual3 to compare against.
+    @pytest.mark.parametrize("build, want", [
+        (lambda d: d / inf, (0.0, -0.0, 0.0)),
+        (lambda d: d / -inf, (-0.0, -0.0, -0.0)),
+        (lambda d: -0.0 / d, (-0.0, 0.0, 0.0)),
+    ], ids=["d/inf", "d/-inf", "-0.0/d"])
+    def test_signed_zero_outcomes(self, build, want):
+        got = build(Dual3(1.5, -0.0, 2.0))
+        got = (got.f0, got.f1, got.f2)
+        assert got == want
+        assert [math.copysign(1.0, v) for v in got] == [
+            math.copysign(1.0, v) for v in want]
+
+    @pytest.mark.parametrize("build", [
+        lambda d: d + inf, lambda d: inf - d, lambda d: d * inf,
+        lambda d: inf / d, lambda d: nan / d, lambda d: d / nan,
+    ], ids=["d+inf", "inf-d", "d*inf", "inf/d", "nan/d", "d/nan"])
+    def test_non_finite_scalar_outcome_raises(self, build):
+        with pytest.raises(DomainError):
+            build(Dual3(1.5, -0.0, 2.0))
+
     def test_numpy_scalar_is_coerced(self):
         d = variable(2.0) * np.float64(3.0)
         assert type(d.f0) is float and type(d.f1) is float

@@ -8,6 +8,8 @@ further in.
 
 import dataclasses
 import math
+from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,3 +127,36 @@ class TestSplineDataConversion:
     def test_non_numeric_string(self):
         with pytest.raises(ValidationError, match="real numbers"):
             SplineData(["a", "b"], [0, 1])
+
+    # numpy parses numeric text under dtype=float; a scalar "2" is refused
+    # at every entry point, so array data refuses it too
+    @pytest.mark.parametrize("x, y", [
+        (["0", "1.5", "3"], ["0", "1", "0"]),
+        ([0, 1.5, 3], [b"0", b"1", b"0"]),
+        ([0, 1.5, "3"], [0, 1, 0]),
+        ([0, 2 ** 70, "3e30"], [0, 1, 0]),
+        ([0, 1, 2], [Fraction(1, 3), 1, "0"]),
+        (np.array(["0", "1.5", "3"], dtype=object), [0, 1, 0]),
+    ], ids=["str", "bytes", "str-among-floats", "str-among-big-ints",
+            "str-among-fractions", "object-array"])
+    def test_numeric_string(self, x, y):
+        with pytest.raises(ValidationError, match="real numbers"):
+            SplineData(x, y)
+
+    def test_complex_is_refused(self):
+        # numpy would drop the imaginary part of a complex array
+        with pytest.raises(ValidationError, match="real numbers"):
+            SplineData(np.array([0, 1j, 2]), [0, 1, 0])
+
+    @pytest.mark.parametrize("x", [
+        [0, 1.5, 3], [0, 2 ** 70, 2 ** 71], [Fraction(0), Fraction(1, 3), 1],
+        array("d", [0, 1.5, 3]), array("i", [0, 1, 3]),
+        np.array([0, 1.5, 3], dtype=np.float32), np.array([0, 2, 3]),
+        np.array([True, 2.0, 3.0]),
+    ], ids=["list", "big-ints", "fractions", "array-d", "array-i", "float32",
+            "int64", "bool"])
+    def test_numbers_convert_as_dtype_float_did(self, x):
+        got = SplineData(x, [0, 1, 0]).x
+        assert got.dtype == np.float64 and not got.flags.writeable
+        assert not np.shares_memory(got, np.asarray(x))
+        assert got.tobytes() == np.array(x, dtype=float).tobytes()

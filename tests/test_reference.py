@@ -37,6 +37,19 @@ class TestCentralDiff:
             central_diff(lambda x: float("inf"), 0.0, 1)
 
 
+@pytest.mark.parametrize("oracle", [
+    lambda x: central_diff(math.sin, x, 1),
+    lambda x: central_diff(math.sin, x, 2),
+    lambda x: jordan_poly_derivs([1, 2], x, 2),
+], ids=["central_diff-1", "central_diff-2", "jordan_poly_derivs"])
+@pytest.mark.parametrize("x", [float("nan"), math.inf, 10 ** 400, "2"],
+                         ids=["nan", "inf", "10**400", "str"])
+def test_oracle_point_must_be_finite(oracle, x):
+    with pytest.raises(ValidationError,
+                       match="x must be (finite|a real number)"):
+        oracle(x)
+
+
 class TestJordanPolyDerivs:
     def test_cube_at_two(self):
         got = jordan_poly_derivs([0.0, 0.0, 0.0, 1.0], 2.0, 2)
