@@ -90,7 +90,7 @@ def read_xy_csv(path: str) -> SplineData:
 # -- problems ------------------------------------------------------------
 
 def _solve(cfg: RootConfig, F, g: Dual3) -> Dual3:
-    """``find_root``, whose fixed-count loop never tests the residual,
+    """``find_root``, whose fixed-count loop has no residual tolerance,
     then :class:`NonConvergenceError` if ``|F|`` at the root exceeds
     ``_RESIDUAL_TOL``."""
     u = find_root(cfg, F, g)

@@ -45,6 +45,18 @@ from .errors import (
 )
 
 
+# numpy kinds that hold plain numbers: bool, signed, unsigned, float.
+# Dates and durations would convert as counts of days or seconds.
+_REAL_KINDS = "biuf"
+
+
+def _not_real(e) -> bool:
+    """An object-array element that ``float()`` converts but that is no
+    real number: text, or a numpy scalar of another kind."""
+    return isinstance(e, (str, bytes)) or (
+        isinstance(e, np.generic) and e.dtype.kind not in _REAL_KINDS)
+
+
 @dataclass(frozen=True)
 class SplineData:
     """Validated interpolation data: finite, strictly increasing x."""
@@ -58,9 +70,9 @@ class SplineData:
         try:
             x, y = (np.array(v) for v in (self.x, self.y))
             for a in x, y:  # with dtype=float, numpy would parse "2"
-                if a.dtype.kind in "SUc" or a.dtype.kind == "O" and any(
-                        isinstance(e, (str, bytes)) for e in a.flat):
-                    raise TypeError("got a str, bytes or complex element")
+                if a.dtype.kind not in _REAL_KINDS + "O" or (
+                        a.dtype.kind == "O" and any(map(_not_real, a.flat))):
+                    raise TypeError(f"got {a.dtype} data")
             x, y = x.astype(float, copy=False), y.astype(float, copy=False)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(

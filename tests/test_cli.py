@@ -67,12 +67,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("fn", ["2sin2", "identity"])
     def test_unconverged_mechanism_is_two(self, capsys, fn):
-        # the mechanism cannot assemble at x0 = 1: after 100 iterations
-        # |F| is still 3.2e-4
+        # the mechanism cannot assemble at x0 = 1: the damped solve stalls
+        # at iterate 4, where no shorter step lowers |F| = 1.4e-4
         code, out, err = run(capsys, "mechanism", "--x0", "1.0", "--fn", fn,
                              "--json")
         assert (code, out) == (2, "")
-        assert err.startswith("numerical failure: |F| = 3.197e-04")
+        assert err.startswith("numerical failure: stalled at iterate 4: no "
+                              "step of up to 10 halvings lowers |F| = "
+                              "1.379e-04")
 
     @pytest.mark.parametrize("t", ["100", "1e300"])
     def test_overflowing_duffing_is_two(self, capsys, t):

@@ -148,6 +148,23 @@ class TestSplineDataConversion:
         with pytest.raises(ValidationError, match="real numbers"):
             SplineData(np.array([0, 1j, 2]), [0, 1, 0])
 
+    # astype(float) would count dates in days and durations in seconds
+    @pytest.mark.parametrize("x", [
+        np.array(["2020-01-01", "2020-01-02", "2020-01-05"],
+                 dtype="datetime64[D]"),
+        np.array([0, 1, 3], dtype="timedelta64[s]"),
+        np.array([np.datetime64("2020-01-01"), np.datetime64("2020-01-02"),
+                  np.datetime64("2020-01-05")], dtype=object),
+        np.array([np.timedelta64(0, "s"), np.timedelta64(1, "s"),
+                  np.timedelta64(3, "s")], dtype=object),
+    ], ids=["datetime64", "timedelta64", "datetime64-objects",
+            "timedelta64-objects"])
+    def test_dates_and_durations_are_refused(self, x):
+        with pytest.raises(ValidationError, match="real numbers"):
+            SplineData(x, [0, 1, 0])
+        with pytest.raises(ValidationError, match="real numbers"):
+            SplineData([0, 1, 2], x)
+
     @pytest.mark.parametrize("x", [
         [0, 1.5, 3], [0, 2 ** 70, 2 ** 71], [Fraction(0), Fraction(1, 3), 1],
         array("d", [0, 1.5, 3]), array("i", [0, 1, 3]),

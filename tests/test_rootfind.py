@@ -9,6 +9,7 @@ from dualnum import (
     DomainError,
     MechanismParams,
     NonConvergenceError,
+    NumericalError,
     RootConfig,
     SingularDerivativeError,
     ValidationError,
@@ -21,6 +22,7 @@ from dualnum import (
 )
 from dualnum import fixtures
 from dualnum.reference import central_diff
+from dualnum.rootfind import _MAX_HALVINGS
 
 
 def identity_eq(u, x):
@@ -202,13 +204,14 @@ class TestHalley:
                            atol=1e-12)
 
     def test_find_root_dispatch(self):
-        # after one real-part iteration the two methods still differ
+        # after one real-part iteration the two methods still differ;
+        # Newton's full step to 10/3 raises |F|, so it takes half of it
         xd = variable(8.0)
         halley = find_root(cfg(1.0, method="halley", max_iters=1, tol=0.0),
                            cube_eq, xd)
         newton = find_root(cfg(1.0, max_iters=1, tol=0.0), cube_eq, xd)
         assert halley.f0 == pytest.approx(1.9763, abs=1e-4)
-        assert newton.f0 == pytest.approx(2.2544, abs=1e-4)
+        assert newton.f0 == pytest.approx(2.0018, abs=1e-4)
 
 
 class TestErrors:
@@ -287,7 +290,7 @@ class TestErrors:
 
 
 def fixed_count_root(cfg, F, g):
-    """``find_root`` before the cycle stop: every iterate is computed."""
+    """``find_root`` without the cycle stop: every iterate is computed."""
     newton = cfg.method == "newton"
     x_const = constant(g.f0)
     u = float(cfg.u0)
@@ -299,19 +302,28 @@ def fixed_count_root(cfg, F, g):
         fu = fd.f1
         if fu == 0.0:
             raise SingularDerivativeError(f"dF/du vanished at iterate {k}")
-        if newton:
-            u = u - resid / fu
-        else:
+        step = resid / fu
+        if not newton:
             denom = 2.0 * fu * fu - resid * fd.f2
             if denom == 0.0:
                 raise SingularDerivativeError("Halley denominator vanished")
-            u = u - 2.0 * resid * fu / denom
-        if not math.isfinite(u):
+            if denom > 0.0:
+                step = 2.0 * resid * fu / denom
+        if not math.isfinite(u - step):
             raise DivergenceError("non-finite iterate", iterations=k + 1)
-        try:
-            fd = F(variable(u), x_const)
-        except DomainError as exc:
-            raise DivergenceError(str(exc), iterations=k + 1) from exc
+        # above sqrt(eps) * max(1, |u|), halve until |F| falls
+        damped = abs(step) > 2.0 ** -26 * max(1.0, abs(u))
+        for _ in range(_MAX_HALVINGS + 1 if damped else 1):
+            try:
+                fd = F(variable(u - step), x_const)
+            except DomainError as exc:
+                raise DivergenceError(str(exc), iterations=k + 1) from exc
+            if not damped or abs(fd.f0) < abs(resid):
+                break
+            step *= 0.5
+        else:
+            raise NonConvergenceError("stalled", residual=abs(resid))
+        u = u - step
     if cfg.tol > 0.0 and abs(resid) > cfg.tol:
         raise NonConvergenceError("not converged", residual=resid)
     slope = fd.f1
@@ -398,21 +410,22 @@ class TestCycleStop:
 
     @pytest.mark.parametrize("max_iters", [1000, 1001])
     def test_cycle_without_convergence_raises_at_once(self, max_iters):
-        # Newton on u^2 + 1 from 1/sqrt(3) jumps to -1/sqrt(3) and back,
-        # so u2 repeats u0; the residual is that of the iterate max_iters
-        # lands on
+        # Newton on u^2 - 2 from sqrt(2) steps one ulp down and back, so
+        # u2 repeats u0.  Both iterates leave |F| = 4.4e-16 > tol; their
+        # steps are at the rounding level and so undamped.  The residual
+        # is that of the iterate max_iters lands on
         seen = []
 
         def counted(u, x):
             seen.append(u.f0)
-            return u * u + constant(1.0) + (x - x)
+            return square_eq(u, x)
 
-        c = cfg(1.0 / math.sqrt(3.0), tol=1e-12, max_iters=max_iters)
+        c = cfg(math.sqrt(2.0), tol=1e-16, max_iters=max_iters)
         with pytest.raises(NonConvergenceError) as err:
-            find_root(c, counted, variable(1.0))
+            find_root(c, counted, variable(2.0))
         assert len(seen) == 2
         with pytest.raises(NonConvergenceError) as want:
-            fixed_count_root(c, counted, variable(1.0))
+            fixed_count_root(c, counted, variable(2.0))
         assert err.value.residual == want.value.residual
 
 
@@ -482,3 +495,130 @@ class TestMechanism:
         params = fixtures.MECHANISM_PARAMS
         out = params.loop_closure(constant(1.0), constant(2.0))
         assert out.f1 == 0.0 and out.f2 == 0.0
+
+
+def mechanism_float(phi, theta):
+    """The loop closure on plain floats, ``phi`` a float or numpy array."""
+    p = fixtures.MECHANISM_PARAMS
+    L, ell, a, R = p.L, p.l, p.a, p.R
+    s1, s2, c1, c2 = p.s1, p.s2, p.c1, p.c2
+    be = p.b - p.e
+    sth, cth = math.sin(theta), math.cos(theta)
+    sph, cph = np.sin(phi), np.cos(phi)
+    return (
+        a * a * c1 * c1 * c2 * c2
+        - 2.0 * a * c1 * c2 * c2 * s1 * be
+        - 2.0 * a * c1 * c1 * c2 * c2 * L * cth
+        + 2.0 * a * c1 * c2 * c2 * R * cph
+        - c1 * c1 * c2 * c2 * be * be
+        + 2.0 * c1 * c2 * c2 * L * s1 * be * cth
+        + 2.0 * c1 * c2 * L * s2 * be * sth
+        - 2.0 * c1 * R * s2 * be * sph
+        - 2.0 * R * s1 * be * cph
+        + be * be
+        - c1 * c1 * c2 * c2 * ell * ell
+        + c1 * c1 * c2 * c2 * L * L
+        + c1 * c1 * c2 * c2 * R * R * cph * cph
+        - 2.0 * c1 * c1 * c2 * L * R * sth * sph
+        - c1 * c1 * R * R * (1.0 - 2.0 * sph * sph)
+        - 2.0 * c1 * c2 * c2 * L * R * cth * cph
+        - 2.0 * c1 * c2 * L * R * s1 * s2 * sth * cph
+        + 2.0 * c1 * R * R * s1 * s2 * sph * cph
+        + R * R * cph * cph
+    )
+
+
+def nr_example1_float(u, x):
+    return math.cos(u * x) - u ** 3 + x + math.sin(u * u * x)
+
+
+_TURN = np.linspace(0.0, 2.0 * math.pi, 1441)
+
+# Residual calls of a raising solve, settle included.  An undamped solve
+# runs its whole budget first: 101 calls or more.
+_RAISE_CALLS = 80
+
+
+def counted_solve(c, F, g):
+    """The root, or the ``NumericalError`` raised, and the residual calls."""
+    calls = []
+
+    def counted(u, x):
+        calls.append(u.f0)
+        return F(u, x)
+
+    try:
+        return find_root(c, counted, g), len(calls)
+    except NumericalError as exc:
+        return exc, len(calls)
+
+
+class TestDampedSteps:
+    """The damped real phase on every 16th angle and every 10th x of the
+    implicit-sweep benchmark's grids."""
+
+    @pytest.mark.parametrize("arg", ["theta", "2sin2"])
+    def test_mechanism_grid_finds_roots_or_raises_early(self, arg):
+        F = fixtures.MECHANISM_PARAMS.loop_closure
+        for k in range(0, 4096, 16):
+            theta = 2.0 * math.pi * k / 4096
+            g = variable(theta)
+            if arg == "2sin2":
+                g = 2.0 * sin(g) * sin(g)
+            got, calls = counted_solve(cfg(1.0), F, g)
+            scan = mechanism_float(_TURN, g.f0)
+            assembles = bool(np.any(scan[:-1] * scan[1:] <= 0.0))
+            if assembles:
+                assert isinstance(got, Dual3), (theta, got)
+                assert abs(mechanism_float(got.f0, g.f0)) <= 1e-10, theta
+            else:
+                assert isinstance(got, NumericalError), (theta, got)
+                assert calls <= _RAISE_CALLS, (theta, calls)
+
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    def test_nr_example1_grid_finds_roots(self, method):
+        F = fixtures.nr_example1_equation
+        for k in range(0, 1501, 10):
+            x = 0.1 + 2.0 * k / 4000
+            xd = variable(x)
+            for g in (xd, sin(xd) + xd * xd):
+                got, _ = counted_solve(cfg(2.0, method=method), F, g)
+                assert isinstance(got, Dual3), (x, got)
+                assert abs(nr_example1_float(got.f0, g.f0)) <= 1e-10, x
+
+    def test_far_x_halley_converges(self):
+        # From u0 = 2 at x = 2, undamped Halley wanders for its whole
+        # budget on both arguments; damped, it finds each root
+        F = fixtures.nr_example1_equation
+        xd = variable(2.0)
+        for g in (xd, sin(xd) + xd * xd):
+            got, calls = counted_solve(cfg(2.0, method="halley"), F, g)
+            assert isinstance(got, Dual3), got
+            assert abs(nr_example1_float(got.f0, g.f0)) <= 1e-10
+            assert calls < 60
+
+    def test_stall_reports_the_residual(self):
+        # u^2 + 1 has no real root: |F| stalls at its minimum 1, at u = 0
+        def rootless(u, x):
+            return u * u + constant(1.0) + (x - x)
+
+        for tol in (0.0, 1e-12):
+            got, calls = counted_solve(cfg(0.5, tol=tol), rootless,
+                                       variable(1.0))
+            assert isinstance(got, NonConvergenceError)
+            assert str(got).startswith("stalled at iterate")
+            assert 1.0 <= got.residual < 1.25
+            assert calls <= _RAISE_CALLS
+
+    def test_equal_residual_is_no_descent(self):
+        # Newton on u^2 + 3 from 1 steps to -1, where |F| = 4 again: the
+        # damped loop halves the step to u = 0, where dF/du vanishes
+        seen = []
+
+        def counted(u, x):
+            seen.append(u.f0)
+            return u * u + constant(3.0) + (x - x)
+
+        with pytest.raises(SingularDerivativeError, match="iterate 1"):
+            find_root(cfg(1.0, tol=0.0), counted, variable(1.0))
+        assert seen == [1.0, -1.0, 0.0]
