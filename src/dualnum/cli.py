@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
                     Optional, Sequence, Tuple)
@@ -75,6 +76,9 @@ def read_xy_csv(path: str) -> SplineData:
                 raise ValidationError(
                     f"{path}:{lineno}: cannot parse numbers from {line!r}"
                 ) from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValidationError(f"{path}:{lineno}: data points must "
+                                      f"be finite, got {line!r}")
             rows.append((lineno, x, y))
     if len(rows) < 2:
         raise ValidationError(f"{path}: need at least 2 data rows")
@@ -89,17 +93,17 @@ def read_xy_csv(path: str) -> SplineData:
 
 # -- problems ------------------------------------------------------------
 
-def _solve(cfg: RootConfig, F, g: Dual3) -> Dual3:
+def _solve(cfg: RootConfig, F, g: Dual3) -> Tuple[Dual3, float]:
     """``find_root``, whose fixed-count loop has no residual tolerance,
     then :class:`NonConvergenceError` if ``|F|`` at the root exceeds
-    ``_RESIDUAL_TOL``."""
+    ``_RESIDUAL_TOL``.  Returns the root and ``F`` at its real parts."""
     u = find_root(cfg, F, g)
     residual = F(constant(u.f0), constant(g.f0)).f0
     if abs(residual) > _RESIDUAL_TOL:
         raise NonConvergenceError(
             f"|F| = {abs(residual):.3e} > {_RESIDUAL_TOL:.0e} after "
             f"{cfg.max_iters} iterations", residual=residual)
-    return u
+    return u, residual
 
 
 def _nr_example1(args) -> Rows:
@@ -107,21 +111,20 @@ def _nr_example1(args) -> Rows:
                      max_iters=fixtures.NR_EXAMPLE1_ITERS, tol=0.0)
     F = fixtures.nr_example1_equation
     xd = variable(fixtures.NR_EXAMPLE1_X0)
-    u = _solve(cfg, F, xd)
+    u, _ = _solve(cfg, F, xd)
     return [("u", u), ("g1", sin(u) + xd),
-            ("g2", _solve(cfg, F, sin(xd) + xd * xd))]
+            ("g2", _solve(cfg, F, sin(xd) + xd * xd)[0])]
 
 
 def _mechanism(args) -> Rows:
     F = fixtures.MECHANISM_PARAMS.loop_closure
     cfg = RootConfig(u0=fixtures.MECHANISM_PHI0, max_iters=100, tol=0.0)
     xd = variable(args.x0)
-    phi = _solve(cfg, F, xd)
+    phi, residual = _solve(cfg, F, xd)
     if args.fn == "identity":
-        residual = F(constant(phi.f0), constant(args.x0)).f0
         return [("phi(x0)", phi), ("residual", Dual3(residual))]
     return [("f(phi(x0))", 2.0 * sin(phi) * sin(phi)),
-            ("phi(f(x0))", _solve(cfg, F, 2.0 * sin(xd) * sin(xd)))]
+            ("phi(f(x0))", _solve(cfg, F, 2.0 * sin(xd) * sin(xd))[0])]
 
 
 def _spline(args) -> Rows:
@@ -141,16 +144,12 @@ def _diffusivity(args) -> Rows:
 
     data = read_xy_csv(args.csv) if args.csv else fixtures.radiometry_fixture()
     model = build_spline(data)
-    lo, hi = float(data.x[0]), float(data.x[-1])
-    start = check_finite("--x0", args.x0)
-    if not (lo <= start <= hi):
-        # The documented default start (10) assumes data whose frequency
-        # axis contains it; otherwise start from the strongest interior
-        # sample.
-        if len(data) > 2:
-            start = float(data.x[int(data.y[1:-1].argmax()) + 1])
-        else:
-            start = 0.5 * (lo + hi)
+    if args.x0 is not None:
+        start = check_finite("--x0", args.x0)
+    elif len(data) > 2:  # the strongest interior sample
+        start = float(data.x[int(data.y[1:-1].argmax()) + 1])
+    else:
+        start = 0.5 * (float(data.x[0]) + float(data.x[-1]))
     peak = find_derivative_root(model, start)
     alpha = diffusivity(args.thickness, peak)
     at_peak = eval_dual(model, variable(peak))
@@ -218,10 +217,11 @@ PROBLEMS: Dict[str, Problem] = {
          ("--thickness", dict(type=float, default=fixtures.SAMPLE_THICKNESS,
                               help="sample thickness in metres "
                                    "(default %(default)s)")),
-         ("--x0", dict(type=float, default=fixtures.DIFFUSIVITY_X0,
-                       help="start frequency for the peak search; falls "
-                            "back to the strongest sample when outside the "
-                            "data range (default %(default)s)"))),
+         ("--x0", dict(type=float,
+                       help="start frequency for the peak search, inside "
+                            "the data range (default: the strongest "
+                            "interior sample, or the midpoint of two "
+                            "rows)"))),
         _diffusivity,
         _within({"f1": (fixtures.radiometry_peak_frequency(),),
                  "alpha_s": (fixtures.TARGET_DIFFUSIVITY,)},

@@ -19,13 +19,13 @@ also how a user-defined elemental is applied; each built-in elemental
 (``sin`` ... ``sqrt`` and ``abs``) is a plain float function returning
 its jet, and unary minus is the jet ``{-g0, -1, 0}``.
 
-Every :class:`Dual3` holds three finite components.  Both constructors,
-``Dual3(...)`` and the internal ``_mk`` that every operation builds its
-result with, raise :class:`~dualnum.errors.DomainError` for an infinite
-or NaN component.  So an overflow, an invalid operation such as
-``inf - inf``, or a division by a zero real part stops the computation
-at the operation where it happens, and no operation need check its
-operands: they are finite by construction.
+Every :class:`Dual3` is built by the internal ``_mk``, which raises
+:class:`~dualnum.errors.DomainError` for an infinite or NaN component:
+every operation passes it its result, and ``Dual3(...)`` the components
+read by ``_scalar``, the one number rule.  So an overflow, an invalid
+operation such as ``inf - inf``, or a division by a zero real part stops
+the computation at the operation where it happens, and no operation
+need check its operands: they are finite by construction.
 """
 
 from __future__ import annotations
@@ -42,12 +42,20 @@ _MAX_INT_EXPONENT = 10 ** 6
 
 
 def _scalar(value) -> float:
-    if isinstance(value, (int, float)):
-        try:
+    """``float(value)`` for the kinds of real number ``check_finite``
+    accepts; an inf or NaN is left for ``_mk`` to trap.  Text, a
+    ``complex`` and sequences raise ``TypeError``."""
+    try:
+        if isinstance(value, (int, float)):
             return float(value)
-        except OverflowError:  # an int beyond float range, like an inf
-            raise DomainError("int operand overflows a float") from None
-    raise TypeError(f"cannot interpret {type(value).__name__} as Dual3")
+        math.isfinite(value)  # float() would parse text
+        return float(value)
+    except TypeError:
+        raise TypeError(
+            f"cannot interpret {type(value).__name__} as Dual3") from None
+    except OverflowError:  # an int beyond float range, like an inf
+        raise DomainError(
+            f"{type(value).__name__} overflows a float") from None
 
 
 def _as_dual(value) -> "Dual3":
@@ -56,20 +64,14 @@ def _as_dual(value) -> "Dual3":
     return _mk(_scalar(value), 0.0, 0.0)
 
 
-def _non_finite(r0: float, r1: float, r2: float):
-    kind = "NaN" if r0 != r0 or r1 != r1 or r2 != r2 else "non-finite"
-    raise DomainError(
-        f"{kind} component in Dual3({r0!r}, {r1!r}, {r2!r})"
-    )
-
-
 class Dual3:
     """A value with its first and second derivative: ``{f, f', f''}``.
 
     Instances are immutable and all operations are pure, so values may be
-    shared and used from any number of threads.  A number operand acts
-    as the constant ``{c, 0, 0}``, bit for bit; ``inf`` and ``nan`` raise
-    ``DomainError``, except in ``d / inf``, which gives signed zeros.
+    shared and used from any number of threads.  A component and a number
+    operand are read by one rule; an operand acts as ``{c, 0, 0}``, bit
+    for bit.  ``inf`` and ``nan`` raise ``DomainError``, except in
+    ``d / inf``, which gives signed zeros.
     """
 
     __slots__ = ("f0", "f1", "f2")
@@ -79,16 +81,8 @@ class Dual3:
     f1: float
     f2: float
 
-    def __init__(self, f0: Number, f1: Number = 0.0, f2: Number = 0.0):
-        try:
-            f0, f1, f2 = float(f0), float(f1), float(f2)
-        except OverflowError:
-            raise DomainError("Dual3 component overflows a float") from None
-        if 0.0 * f0 * f1 * f2 != 0.0:
-            _non_finite(f0, f1, f2)
-        _set_f0(self, f0)
-        _set_f1(self, f1)
-        _set_f2(self, f2)
+    def __new__(cls, f0: Number, f1: Number = 0.0, f2: Number = 0.0):
+        return _mk(_scalar(f0), _scalar(f1), _scalar(f2))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -209,14 +203,16 @@ _set_f2 = Dual3.f2.__set__
 
 
 def _mk(r0: float, r1: float, r2: float) -> Dual3:
-    """Constructor for float components: the internal route.
+    """Build a Dual3 from float components: the one route for all.
 
     An infinite or NaN component is trapped here, on every result, so
     an overflow or solver divergence is reported at the operation that
     first makes it.  ``0.0 * r`` is a zero exactly when ``r`` is finite.
     """
     if 0.0 * r0 * r1 * r2 != 0.0:
-        _non_finite(r0, r1, r2)
+        kind = "NaN" if r0 != r0 or r1 != r1 or r2 != r2 else "non-finite"
+        raise DomainError(
+            f"{kind} component in Dual3({r0!r}, {r1!r}, {r2!r})")
     d = _new(Dual3)
     _set_f0(d, r0)
     _set_f1(d, r1)

@@ -94,7 +94,6 @@ def ln_sample_data() -> SplineData:
 
 SAMPLE_THICKNESS = 522e-6        # metres
 TARGET_DIFFUSIVITY = 6.00e-6     # m^2/s
-DIFFUSIVITY_X0 = 10.0
 DIFFUSIVITY_RTOL = 0.02
 
 

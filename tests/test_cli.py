@@ -56,9 +56,8 @@ class TestExitCodes:
         assert "extremum" in err
 
     def test_two_row_diffusivity_starts_mid_range(self, capsys, tmp_path):
-        # the default start 10 lies outside [0, 1], and two rows have no
-        # interior sample: the search starts at the midpoint and finds
-        # the straight line has no extremum
+        # two rows have no interior sample: the default search starts at
+        # the midpoint and finds the straight line has no extremum
         line = tmp_path / "line.csv"
         line.write_text("0.0,1.0\n1.0,2.0\n")
         code, _, err = run(capsys, "diffusivity", "--csv", str(line))
@@ -92,11 +91,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("x0", ["nan", "inf"])
     def test_non_finite_diffusivity_start_is_one(self, capsys, x0):
-        # a finite start outside the data falls back to the strongest
-        # sample; a non-finite one is rejected, not replaced
+        # a non-finite start is rejected, not replaced
         code, out, err = run(capsys, "diffusivity", "--x0", x0, "--json")
         assert (code, out) == (1, "")
         assert err == f"error: --x0 must be finite, got {x0}\n"
+
+    def test_diffusivity_start_outside_data_is_one(self, capsys):
+        code, out, err = run(capsys, "diffusivity", "--x0", "99", "--json")
+        assert (code, out) == (1, "")
+        assert "outside data range" in err
 
     def test_out_of_range_at_is_one(self, capsys):
         code, _, err = run(capsys, "spline", "--at", "99.0")
@@ -259,6 +262,14 @@ class TestCsvIngestion:
         path.write_text("1.0, 2.0\n2.0, oops\n")
         with pytest.raises(ValidationError, match=":2:"):
             read_xy_csv(str(path))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_value_names_line(self, capsys, tmp_path, value):
+        path = tmp_path / "data.csv"
+        path.write_text(f"1.0, 2.0\n1.5, 2.5\n2.0, {value}\n3.0, 1.0\n")
+        code, _, err = run(capsys, "spline", "--csv", str(path))
+        assert code == 1
+        assert f"{path}:3: data points must be finite" in err
 
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "data.csv"

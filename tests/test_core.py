@@ -2,6 +2,8 @@ import math
 import operator
 import pickle
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -213,16 +215,28 @@ class TestScalarOperands:
         with pytest.raises(DomainError):
             build(Dual3(1.5, -0.0, 2.0))
 
-    def test_numpy_scalar_is_coerced(self):
-        d = variable(2.0) * np.float64(3.0)
-        assert type(d.f0) is float and type(d.f1) is float
-        assert d == variable(2.0) * 3.0
+    # The numbers check_finite accepts, as a component and as an operand
+    # in either order, give the bits of float(v).
+    @pytest.mark.parametrize("v", [
+        np.float64(3.0), np.int64(2), np.float32(0.1), np.float16(1.5),
+        Fraction(1, 3), Decimal("0.1"), True, np.array(0.3),
+    ], ids=["float64", "int64", "float32", "float16", "Fraction",
+            "Decimal", "bool", "0d-array"])
+    def test_numpy_scalar_is_coerced(self, v):
+        c, d = float(v), Dual3(1.25, -0.5, 2.0)
+        for got, want in [(Dual3(v), Dual3(c)), (d + v, d + c),
+                          (v * d, c * d), (d / v, d / c)]:
+            assert all(type(x) is float for x in (got.f0, got.f1, got.f2))
+            assert same_dual(got, want)
 
-    def test_non_number_rejected(self):
-        with pytest.raises(TypeError, match="cannot interpret"):
-            variable(1.0) + "1"
-        with pytest.raises(TypeError, match="cannot interpret"):
-            "1" * variable(1.0)
+    @pytest.mark.parametrize("v", [
+        "1", b"1", bytearray(b"1"), np.str_("1"), 1 + 0j, [1.0],
+    ], ids=["str", "bytes", "bytearray", "numpy-str", "complex", "list"])
+    def test_non_number_rejected(self, v):
+        for build in (Dual3, lambda v: variable(1.0) + v,
+                      lambda v: v * variable(1.0)):
+            with pytest.raises(TypeError, match="cannot interpret"):
+                build(v)
 
     # An int beyond float range is typed like an infinite float: an
     # operand or component raises DomainError, a seed ValidationError.
