@@ -34,7 +34,7 @@ import math
 from dataclasses import FrozenInstanceError
 from typing import Callable, Union
 
-from .errors import DomainError, check_finite
+from .errors import DomainError, _complex, check_finite
 
 Number = Union[int, float]
 
@@ -48,6 +48,8 @@ def _scalar(value) -> float:
     try:
         if isinstance(value, (int, float)):
             return float(value)
+        if _complex(value):
+            raise TypeError
         math.isfinite(value)  # float() would parse text
         return float(value)
     except TypeError:

@@ -77,10 +77,23 @@ def check_count(name: str, value) -> None:
         raise ValidationError(f"{name} must be >= 1, got {count}")
 
 
+def _complex(value) -> bool:
+    """Whether ``value`` is a complex number, which ``math.isfinite`` and
+    ``float`` may read by its real part alone, as numpy's complex scalars
+    let them (with a warning).  numpy registers its scalar types with
+    :mod:`numbers`, which ``import dualnum`` does not load."""
+    import numbers
+
+    return (isinstance(value, numbers.Complex)
+            and not isinstance(value, numbers.Real))
+
+
 def check_finite(name: str, value) -> float:
     """``float(value)``; :class:`ValidationError` unless ``value`` is a
     finite real number.  An ``int`` beyond float range counts as infinite."""
     try:
+        if type(value) is not float and _complex(value):
+            raise TypeError
         if math.isfinite(value):
             return float(value)
     except TypeError:

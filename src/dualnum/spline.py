@@ -7,17 +7,23 @@ solve the symmetric tridiagonal system ``T D = R`` with diagonal
 centred differences of the ordinates.  Natural ends mean zero second
 derivative (in ``t``) at both ends of the parameterisation.
 
-Up to ``_SWEEP_MAX_KNOTS`` knots it is solved by an O(n) Thomas sweep on
-plain floats in the operation order of LAPACK ``dgtsv`` (Anderson et al.,
-*LAPACK Users' Guide*, 3rd ed., SIAM 1999), which never interchanges rows
-on this ``T``.  Where ``dgtsv`` is compiled without fused multiply-add
-contraction, as in x86-64 OpenBLAS builds, the slopes equal those of
-``scipy.linalg.solve_banded`` (which calls ``dgtsv``) bit for bit; the
-sweep itself rounds the same on every platform.  Larger systems go to
-``solve_banded``, imported only then.  ``import dualnum`` loads neither
-this module nor numpy: the package imports it on first use of one of
-its names, so numpy loads with the first spline and scipy with the
-first spline above the cutoff.
+``T`` is the same for every curve, and so is its LU factorisation:
+LAPACK ``dgttrf`` (Anderson et al., *LAPACK Users' Guide*, 3rd ed.,
+SIAM 1999) interchanges no rows on it, and its pivots ``p_0 = 2``,
+``p_{i+1} = 4 - 1/p_i`` reach their fixed point ``2 + sqrt(3)`` at index
+15.  ``_PIVOTS`` holds them, computed once at import.  Up to
+``_SWEEP_MAX_KNOTS`` knots an O(n) sweep on plain floats applies them in
+the operation order of ``dgttrs``, which is also that of ``dgtsv``;
+larger systems are filled from the table and passed to one ``dgttrs``
+call, with scipy imported only then.  Where LAPACK is compiled without
+fused multiply-add contraction, as in x86-64 OpenBLAS builds, both
+paths give the slopes of ``scipy.linalg.solve_banded`` (which calls
+``dgtsv``) bit for bit; the sweep itself rounds the same on every
+platform.  ``import dualnum`` loads neither this module nor numpy: the
+package imports it on first use of one of its names, so numpy loads
+with the first spline and scipy with the first spline above the cutoff.
+Evaluation reads knots and coefficients through memoryviews, which
+return plain floats, and finds the segment with ``bisect``.
 :func:`dualnum.reference.tinv_entry` gives ``T^{-1}`` in closed form as an
 independent check.
 
@@ -31,6 +37,7 @@ sign.  C1 and C2 in ``x`` hold for uniformly spaced knots.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +100,10 @@ class SplineData:
     def __len__(self) -> int:
         return int(self.x.size)
 
+    def __reduce__(self):
+        # Rebuilt through the checks: a copied array comes back writable.
+        return (SplineData, (self.x, self.y))
+
 
 @dataclass(frozen=True)
 class SplineModel:
@@ -113,34 +124,73 @@ class SplineModel:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # Indexing a memoryview gives a plain float, indexing an ndarray a
+        # numpy scalar that costs more than the arithmetic it feeds.  Not
+        # fields: left out of ==, repr and pickling.
+        object.__setattr__(self, "_views", tuple(map(memoryview, (
+            self.data.x, self.a, self.b, self.c, self.d))))
+
+    def __reduce__(self):
+        # A memoryview cannot be pickled; rebuild from the fields.
+        return (SplineModel, (self.data, self.slopes, self.a, self.b, self.c,
+                              self.d))
 
 
-# Largest system for the interpreted sweep: timing all of build_spline
-# both ways (2-vCPU x86-64, CPython 3.11, scipy 1.17; three runs of 21
-# alternating repeats per size), the sweep was faster up to 88 knots,
-# even with solve_banded at 96 and slower from 104.
+# Largest system for the interpreted sweep.  Timing all of build_spline
+# both ways (2-vCPU x86-64, CPython 3.11, scipy 1.17; two runs of 21
+# alternating repeats per size), the sweep was faster up to 32 knots, even
+# at 40 and 1.3-1.4x slower at 96, 10-20 us a build.  The cutoff stays
+# at 96 since the dgttrs path imports scipy, which costs a fresh process
+# about 0.3 s: the time saved by 15 000 or more such builds.
 _SWEEP_MAX_KNOTS = 96
 
 
-def _sweep(r: list) -> list:
-    """Solve ``T D = r`` in place, in ``dgtsv``'s operation order.
+# dgttrf's factors of T without the last row, whose pivot is 2 - 1/p_{n-2}:
+# pivots p_i (U's diagonal) and multipliers 1/p_i (L's subdiagonal).  The
+# pivots stop changing at index 15, so the last entry stands for every
+# later row as well.
+_PIVOTS = (2.0,)
+while len(_PIVOTS) < _SWEEP_MAX_KNOTS - 1:
+    _PIVOTS += (4.0 - 1.0 / _PIVOTS[-1],)
+_FACTORS = tuple(1.0 / p for p in _PIVOTS)
 
-    Every pivot exceeds the unit subdiagonal, so ``dgtsv`` interchanges no
-    rows and each step here rounds exactly as LAPACK's does.
+
+def _sweep(r: list) -> list:
+    """Solve ``T D = r`` in place, in ``dgttrs``'s operation order.
+
+    Every pivot exceeds the unit subdiagonal, so LAPACK interchanges no
+    rows, and each step here rounds exactly as LAPACK's does.
     """
     n = len(r)
-    p = [2.0] + [4.0] * (n - 2) + [2.0]
     for i in range(n - 1):
-        f = 1.0 / p[i]
-        p[i + 1] -= f
-        r[i + 1] -= f * r[i]
-    r[-1] /= p[-1]
-    r[-2] = (r[-2] - r[-1]) / p[-2]
-    # dgtsv still multiplies r[i + 2] by its zeroed second superdiagonal
-    # DL(i); the term decides the sign of a zero result, so it stays.
+        r[i + 1] -= _FACTORS[i] * r[i]
+    r[-1] /= 2.0 - _FACTORS[n - 2]
+    r[-2] = (r[-2] - r[-1]) / _PIVOTS[n - 2]
+    # LAPACK still multiplies r[i + 2] by the zero second superdiagonal
+    # DU2(i); the term decides the sign of a zero result, so it stays.
     for i in range(n - 3, -1, -1):
-        r[i] = (r[i] - r[i + 1] - 0.0 * r[i + 2]) / p[i]
+        r[i] = (r[i] - r[i + 1] - 0.0 * r[i + 2]) / _PIVOTS[i]
     return r
+
+
+def _solve(r: np.ndarray) -> np.ndarray:
+    """Solve ``T D = r``: by ``_sweep`` up to ``_SWEEP_MAX_KNOTS`` rows,
+    else by one ``dgttrs`` call, which may overwrite ``r``."""
+    n = r.size
+    if n <= _SWEEP_MAX_KNOTS:
+        return np.array(_sweep(r.tolist()))
+    from scipy.linalg.lapack import dgttrs
+
+    # T's factors: pivots from the table, their reciprocals below them,
+    # the unit superdiagonal above, no row interchanges.  They are finite,
+    # so a non-finite r can only show in the result.
+    d = np.full(n, _PIVOTS[-1])
+    d[:len(_PIVOTS)] = _PIVOTS
+    dl = 1.0 / d[:-1]
+    d[-1] = 2.0 - dl[-1]
+    x, _ = dgttrs(dl, d, np.ones(n - 1), np.zeros(n - 2),
+                  np.arange(1, n + 1, dtype=np.intc), r, overwrite_b=True)
+    return x
 
 
 def build_spline(data: SplineData) -> SplineModel:
@@ -157,19 +207,7 @@ def build_spline(data: SplineData) -> SplineModel:
         if n > 2:
             rhs[1:-1] = 3.0 * (y[2:] - y[:-2])
 
-        if n <= _SWEEP_MAX_KNOTS:
-            slopes = np.array(_sweep(rhs.tolist()))
-        else:
-            from scipy.linalg import solve_banded
-
-            banded = np.zeros((3, n))
-            banded[0, 1:] = 1.0
-            banded[1, :] = 4.0
-            banded[1, 0] = banded[1, -1] = 2.0
-            banded[2, :-1] = 1.0
-            # The matrix is finite and a bad rhs shows in c and d below:
-            # skip scipy's scan.
-            slopes = solve_banded((1, 1), banded, rhs, check_finite=False)
+        slopes = _solve(rhs)
 
         # c = 3 dy - 2 D_i - D_{i+1} and d = -2 dy + D_i + D_{i+1}, in
         # place and in that order: the same roundings, fewer temporaries.
@@ -189,20 +227,6 @@ def build_spline(data: SplineData) -> SplineModel:
     return SplineModel(data=data, slopes=slopes, a=a, b=b, c=c, d=d)
 
 
-def _segment_index(knots: np.ndarray, x0: float) -> int:
-    # .item() reads plain floats: numpy-scalar reads cost more than the
-    # comparisons and arithmetic they feed.
-    lo, hi = knots.item(0), knots.item(-1)
-    if not (lo <= x0 <= hi):
-        raise OutOfRangeError(
-            f"x = {x0} outside data range [{lo}, {hi}] (no extrapolation)"
-        )
-    # Interior knots map to their right-hand segment; the last knot maps
-    # to the final segment evaluated at t = 1.
-    i = int(knots.searchsorted(x0, side="right")) - 1
-    return min(max(i, 0), knots.size - 2)
-
-
 def eval_dual(model: SplineModel, x: Dual3) -> Dual3:
     """Evaluate the spline at a dual point; derivatives follow x's seed.
 
@@ -215,11 +239,19 @@ def eval_dual(model: SplineModel, x: Dual3) -> Dual3:
     ``+ - *`` by finite scalars follow), where the one ``_mk`` raises
     ``DomainError`` as the operators would.
     """
-    knots = model.data.x
+    knots, a, b, c, d = model._views
     x0, x1 = x.f0, x.f1
-    i = _segment_index(knots, x0)
-    k0 = knots.item(i)
-    r = 1.0 / (knots.item(i + 1) - k0)
+    lo, hi = knots[0], knots[-1]
+    if not (lo <= x0 <= hi):
+        raise OutOfRangeError(
+            f"x = {x0} outside data range [{lo}, {hi}] (no extrapolation)"
+        )
+    # Interior knots map to their right-hand segment; the last knot maps
+    # to the final segment evaluated at t = 1.  Searching only the inner
+    # knots clamps i to 0 .. n - 2.
+    i = bisect_right(knots, x0, 1, len(knots) - 1) - 1
+    k0 = knots[i]
+    r = 1.0 / (knots[i + 1] - k0)
     # Terms left out: x - k0 subtracts 0.0 from x1 and x2, which keeps
     # them.  s0 = x0 - k0 is >= +0.0 (the segment starts at or left of
     # x0) and so is t0 = s0 * r, so s0 * 0.0 and t0 * 0.0 are +0.0, or t0
@@ -228,14 +260,14 @@ def eval_dual(model: SplineModel, x: Dual3) -> Dual3:
     t0 = (x0 - k0) * r
     t1 = x1 * r + 0.0
     t2 = x.f2 * r + 2.0 * x1 * 0.0 + 0.0
-    d = model.d.item(i)
-    p0 = t0 * d + model.c.item(i)
-    p1 = t1 * d + 0.0
-    p2 = t2 * d + 2.0 * t1 * 0.0 + 0.0
-    u0 = p0 * t0 + model.b.item(i)
+    di = d[i]
+    p0 = t0 * di + c[i]
+    p1 = t1 * di + 0.0
+    p2 = t2 * di + 2.0 * t1 * 0.0 + 0.0
+    u0 = p0 * t0 + b[i]
     u1 = p1 * t0 + p0 * t1 + 0.0
     u2 = p2 * t0 + 2.0 * p1 * t1 + p0 * t2 + 0.0
-    return _mk(u0 * t0 + model.a.item(i), u1 * t0 + u0 * t1 + 0.0,
+    return _mk(u0 * t0 + a[i], u1 * t0 + u0 * t1 + 0.0,
                u2 * t0 + 2.0 * u1 * t1 + u0 * t2 + 0.0)
 
 
@@ -252,8 +284,8 @@ def find_derivative_root(model: SplineModel, x0: float) -> float:
     ``[0, 1]`` the one nearest ``x0`` is returned.
     """
     x0 = check_finite("x0", x0)
-    knots = model.data.x
-    lo, hi = knots.item(0), knots.item(-1)
+    knots, _, bv, cv, dv = model._views
+    lo, hi = knots[0], knots[-1]
     if not (lo <= x0 <= hi):
         raise OutOfRangeError(f"start x = {x0} outside data range [{lo}, {hi}]")
     slopes, b, c, d = model.slopes, model.b, model.c, model.d
@@ -271,7 +303,7 @@ def find_derivative_root(model: SplineModel, x0: float) -> float:
     turns = turns[np.sign(at_turn) != np.sign(bt)]
     best, best_gap = None, math.inf
     for i in crosses.tolist() + turns.tolist():
-        bi, ci, di = b.item(i), c.item(i), d.item(i)
+        bi, ci, di = bv[i], cv[i], dv[i]
         if bi == ci == di == 0.0:
             raise SingularDerivativeError(
                 f"spline slope vanishes on all of segment {i}")
@@ -289,7 +321,7 @@ def find_derivative_root(model: SplineModel, x0: float) -> float:
             roots = (-0.5 * bi / ci,)
         else:
             continue
-        k0, k1 = knots.item(i), knots.item(i + 1)
+        k0, k1 = knots[i], knots[i + 1]
         for t in roots:
             if 0.0 <= t <= 1.0:
                 x = min(k0 + t * (k1 - k0), k1)

@@ -231,7 +231,9 @@ class TestScalarOperands:
 
     @pytest.mark.parametrize("v", [
         "1", b"1", bytearray(b"1"), np.str_("1"), 1 + 0j, [1.0],
-    ], ids=["str", "bytes", "bytearray", "numpy-str", "complex", "list"])
+        np.complex128(1 + 2j), np.complex64(1 + 2j),
+    ], ids=["str", "bytes", "bytearray", "numpy-str", "complex", "list",
+            "complex128", "complex64"])
     def test_non_number_rejected(self, v):
         for build in (Dual3, lambda v: variable(1.0) + v,
                       lambda v: v * variable(1.0)):

@@ -133,3 +133,17 @@ def test_fixture_subcommands_leave_scipy_unloaded():
         "        assert cli.main([name, '--json', '--check']) == 0, name\n"
         "print('scipy' in sys.modules)")
     assert out == "False\n"
+
+
+def test_splines_of_up_to_96_knots_leave_scipy_unloaded():
+    # the cutoff is a promise, not only a tuning: scipy's import costs a
+    # fresh process far more than the sweep loses to dgttrs below it
+    out = fresh_python(
+        "import sys, dualnum\n"
+        "for n in (96, 97):\n"
+        "    data = dualnum.SplineData(range(n), [i % 7 for i in range(n)])\n"
+        "    model = dualnum.build_spline(data)\n"
+        "    dualnum.eval_dual(model, dualnum.variable(2.5))\n"
+        "    dualnum.find_derivative_root(model, 2.5)\n"
+        "    print(n, 'scipy' in sys.modules)")
+    assert out == "96 False\n97 True\n"

@@ -106,6 +106,17 @@ class TestCheckFinite:
             check_finite("v", value)
         assert str(err.value) == f"v must be a real number, got {shown}"
 
+    @pytest.mark.parametrize("value", [
+        1 + 0j, np.complex128(1 + 2j), np.complex64(1 + 2j),
+        np.complex128(1.0)], ids=["complex", "complex128", "complex64",
+                                  "complex128-real"])
+    def test_complex_is_not_read_by_its_real_part(self, value):
+        # numpy's complex scalars convert to float with only a warning
+        with pytest.raises(ValidationError) as err:
+            check_finite("v", value)
+        assert str(err.value) == (
+            f"v must be a real number, got {type(value).__name__}")
+
     def test_accepted_inputs_are_stored_as_floats(self):
         cfg = RootConfig(u0=2, tol=0)
         assert (type(cfg.u0), type(cfg.tol)) == (float, float)

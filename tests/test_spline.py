@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import struct
 from array import array
 
@@ -13,6 +15,7 @@ from dualnum import (
     OutOfRangeError,
     SingularDerivativeError,
     SplineData,
+    SplineModel,
     ValidationError,
     build_spline,
     diffusivity,
@@ -22,7 +25,7 @@ from dualnum import (
     variable,
 )
 from dualnum import fixtures
-from dualnum.spline import _SWEEP_MAX_KNOTS, _sweep
+from dualnum.spline import _FACTORS, _PIVOTS, _SWEEP_MAX_KNOTS, _solve
 from dualnum.reference import (
     UnsupportedSizeError,
     tinv_entry,
@@ -184,12 +187,14 @@ class TestBuild:
 
 
 class TestSweepMatchesBandedSolve:
-    # Bitwise equality assumes a dgtsv compiled without fused multiply-add
+    # Bitwise equality assumes LAPACK compiled without fused multiply-add
     # contraction, as in x86-64 OpenBLAS builds; the sweep's own rounding
     # does not depend on the platform.
-    # sizes up to two past the cutoff, where the sweep hands over to
-    # solve_banded, and a few well above it
-    SIZES = list(range(2, _SWEEP_MAX_KNOTS + 3)) + [160, 257, 1000]
+    # sizes up to two past the cutoff, where the sweep hands over to the
+    # one dgttrs call, a few well above it, and the largest curves the
+    # benchmark builds
+    SIZES = list(range(2, _SWEEP_MAX_KNOTS + 3)) + [160, 257, 1000, 4096,
+                                                    65536]
 
     @staticmethod
     def banded_solve(rhs):
@@ -219,15 +224,32 @@ class TestSweepMatchesBandedSolve:
 
     def test_sweep_bits_on_any_right_hand_side(self):
         # Right-hand sides no ordinates produce, such as -0, +0, -0 in
-        # the last three rows, reach dgtsv's zeroed DL(i) r[i + 2] term.
+        # the last three rows, reach LAPACK's zero DU2(i) r[i + 2] term,
+        # on both sides of the cutoff.
         rng = np.random.RandomState(31)
-        for n in range(2, _SWEEP_MAX_KNOTS + 1):
+        for n in self.SIZES:
             signed_zeros = np.where(rng.rand(n) < 0.5, -0.0, 0.0)
             mixed = np.where(rng.rand(n) < 0.8, signed_zeros,
                              rng.uniform(-1.0, 1.0, n))
             for rhs in (signed_zeros, mixed):
-                got = np.array(_sweep(rhs.tolist()))
-                assert got.tobytes() == self.banded_solve(rhs).tobytes(), n
+                want = self.banded_solve(rhs).tobytes()
+                assert _solve(rhs.copy()).tobytes() == want, n
+
+    def test_pivot_table_is_the_lapack_factorisation(self):
+        # dgttrf on T: no interchanges, the table's pivots on the diagonal
+        # and their reciprocals as multipliers; the last entry is the
+        # recurrence's fixed point, the pivot of every later row.
+        from scipy.linalg.lapack import dgttrf
+
+        n = len(_PIVOTS) + 1
+        diagonal = np.array([2.0] + [4.0] * (n - 2) + [2.0])
+        dl, d, _, _, ipiv, info = dgttrf(np.ones(n - 1), diagonal,
+                                         np.ones(n - 1))
+        assert info == 0 and ipiv.tolist() == list(range(1, n + 1))
+        assert d[:-1].tolist() == list(_PIVOTS)
+        assert dl.tolist() == list(_FACTORS)
+        assert d[-1] == 2.0 - _FACTORS[-1]
+        assert _PIVOTS[-1] == 4.0 - 1.0 / _PIVOTS[-1]
 
 
 class TestClosedFormInverse:
@@ -383,6 +405,54 @@ class TestLookupEdges:
                 for xd in (variable(p), variable(p) * 2.0 - p):
                     assert repr(eval_dual(model, xd)) == repr(
                         dual_chain_eval(model, xd))
+
+
+def strided(arr):
+    """``arr``'s values in a non-contiguous array."""
+    out = np.zeros(2 * len(arr))[::2]
+    out[:] = arr
+    assert not out.flags.c_contiguous
+    return out
+
+
+class TestModelViews:
+    """The evaluation views are built from the fields, whatever their
+    layout, and rebuilt for a copy."""
+
+    @staticmethod
+    def outcomes(model):
+        rng = np.random.RandomState(4)
+        knots = model.data.x
+        points = knots.tolist() + rng.uniform(knots[0], knots[-1],
+                                              20).tolist()
+        values = [eval_outcome(eval_dual, model, Dual3(p, 1.0, -0.5))
+                  for p in points]
+        roots = [find_derivative_root(model, p) for p in points]
+        return values, struct.pack(f"<{len(roots)}d", *roots)
+
+    @pytest.mark.parametrize("n", [9, _SWEEP_MAX_KNOTS + 1])
+    @pytest.mark.parametrize("clone", [
+        lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"])
+    def test_copy_evaluates_bit_identically(self, n, clone):
+        model = jittered_model(np.random.RandomState(n), n, peaked=True,
+                               jitter=0.3)
+        twin = clone(model)
+        for name in ("slopes", "a", "b", "c", "d"):
+            got, want = getattr(twin, name), getattr(model, name)
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert not (twin.data.x.flags.writeable or twin.data.y.flags.writeable)
+        assert self.outcomes(twin) == self.outcomes(model)
+        assert "memoryview" not in repr(model)
+
+    def test_strided_fields_evaluate_like_contiguous_ones(self):
+        model = jittered_model(np.random.RandomState(8), 12, peaked=True,
+                               jitter=0.3)
+        fields = (model.slopes, model.a, model.b, model.c, model.d)
+        twin = SplineModel(model.data, *map(strided, fields))
+        assert not twin.c.flags.c_contiguous
+        assert self.outcomes(twin) == self.outcomes(model)
 
 
 def eval_outcome(evaluate, model, x):
