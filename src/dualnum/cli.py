@@ -53,7 +53,7 @@ def read_xy_csv(path: str) -> SplineData:
     header line.  Rows must already be sorted by strictly increasing x."""
     from .spline import SplineData
 
-    rows: List[Tuple[int, float, float]] = []
+    xs, ys = [], []
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -71,7 +71,7 @@ def read_xy_csv(path: str) -> SplineData:
             try:
                 x, y = float(parts[0]), float(parts[1])
             except ValueError:
-                if not rows and lineno == 1:
+                if not xs and lineno == 1:
                     continue  # header line
                 raise ValidationError(
                     f"{path}:{lineno}: cannot parse numbers from {line!r}"
@@ -79,16 +79,14 @@ def read_xy_csv(path: str) -> SplineData:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValidationError(f"{path}:{lineno}: data points must "
                                       f"be finite, got {line!r}")
-            rows.append((lineno, x, y))
-    if len(rows) < 2:
+            if xs and x <= xs[-1]:
+                raise ValidationError(f"{path}:{lineno}: x values must be "
+                                      "strictly increasing (sort the rows)")
+            xs.append(x)
+            ys.append(y)
+    if len(xs) < 2:
         raise ValidationError(f"{path}: need at least 2 data rows")
-    for (_, x_prev, _), (lineno, x_cur, _) in zip(rows, rows[1:]):
-        if x_cur <= x_prev:
-            raise ValidationError(
-                f"{path}:{lineno}: x values must be strictly increasing "
-                "(sort the rows)"
-            )
-    return SplineData([r[1] for r in rows], [r[2] for r in rows])
+    return SplineData(xs, ys)
 
 
 # -- problems ------------------------------------------------------------

@@ -38,8 +38,6 @@ from .errors import DomainError, _complex, check_finite
 
 Number = Union[int, float]
 
-_MAX_INT_EXPONENT = 10 ** 6
-
 
 def _scalar(value) -> float:
     """``float(value)`` for the kinds of real number ``check_finite``
@@ -164,8 +162,7 @@ class Dual3:
     def __pow__(self, exponent) -> "Dual3":
         p = _as_dual(exponent)
         if p.f1 == 0.0 and p.f2 == 0.0 and p.f0.is_integer():
-            if abs(p.f0) <= _MAX_INT_EXPONENT:
-                return self._int_power(int(p.f0))
+            return self._int_power(int(p.f0))
         if self.f0 <= 0.0:
             raise DomainError(
                 "pow needs base real part > 0 unless the exponent is a "
@@ -184,8 +181,9 @@ class Dual3:
         if k < 0:
             p = self._int_power(-k)
             if p.f0 == 0.0 and self.f0 != 0.0:
-                raise DomainError(f"x ** {k} overflows a float: x ** {-k} "
-                                  f"underflows to 0 at real part {self.f0}")
+                raise DomainError(
+                    f"x ** {float(k):g} overflows a float: x ** "
+                    f"{float(-k):g} underflows to 0 at real part {self.f0}")
             return _mk(1.0, 0.0, 0.0) / p
         # left-to-right binary powering: square per bit of k below the
         # leading one, then multiply by self where that bit is set; for

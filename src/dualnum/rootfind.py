@@ -16,6 +16,8 @@ cannot assemble) raises :class:`~dualnum.errors.NonConvergenceError` at
 once.  Shorter steps are taken in full: at the rounding level of a root
 no step need lower ``|F|``.  Where ``2 F_u^2 - F F_uu < 0`` the Halley
 step is no descent direction, and the Newton step is taken instead.
+Iterates are built by ``core._mk``, so one that overflows to inf, or
+one at which ``F`` fails, raises :class:`~dualnum.errors.DivergenceError`.
 The derivative components are then settled by exactly two dual-only
 passes
 
@@ -35,7 +37,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import Dual3, constant, cos, sin, variable
+from .core import Dual3, _mk, cos, sin
 from .errors import (
     DivergenceError,
     DomainError,
@@ -102,13 +104,13 @@ class RootConfig:
 def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
     """Solve ``F(u, g.f0) = 0`` by ``cfg.method``; derivatives from ``g``."""
     newton = cfg.method == "newton"
-    x_const = constant(g.f0)
+    x_const = _mk(g.f0, 0.0, 0.0)
     u = cfg.u0
 
     # One kept evaluation per iterate (for a damped step, the trial it
     # accepted): the last one serves the tolerance test and gives the
     # settle phase its slope.
-    fd = F(variable(u), x_const)
+    fd = F(_mk(u, 1.0, 0.0), x_const)
     trail = []  # (u, F(u)) of iterates 0..k
     seen = {}  # _bits(u) -> index in trail
     try:
@@ -134,18 +136,12 @@ def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
                 if denom > 0.0:  # else Halley's step is no descent direction
                     step = 2.0 * resid * fu / denom
             u_next = u - step
-            if not math.isfinite(u_next):
-                raise DivergenceError(
-                    f"non-finite iterate after {k + 1} iterations "
-                    f"(u={u_next})",
-                    iterations=k + 1,
-                )
             # max(1, |u|) inline: the builtin call costs more than the test
             damped = abs(step) > _SQRT_EPS * (abs(u) if abs(u) > 1.0 else 1.0)
             if damped:
                 # The first of u - step, u - step/2, ... that lowers |F|
                 # is the next iterate, and its evaluation serves it.
-                fd = F(variable(u_next), x_const)
+                fd = F(_mk(u_next, 1.0, 0.0), x_const)
                 halvings = 0
                 while not abs(fd.f0) < abs(resid):
                     if halvings == _MAX_HALVINGS:
@@ -158,7 +154,7 @@ def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
                     halvings += 1
                     step *= 0.5
                     u_next = u - step
-                    fd = F(variable(u_next), x_const)
+                    fd = F(_mk(u_next, 1.0, 0.0), x_const)
             u = u_next
             j = seen.get(_bits(u))
             if j is not None:
@@ -170,11 +166,11 @@ def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
                 resid = fd.f0
                 break
             if not damped:
-                fd = F(variable(u), x_const)
+                fd = F(_mk(u, 1.0, 0.0), x_const)
     except DomainError as exc:
-        # Only F raises DomainError here, at the candidate u_next.
+        # Raised by _mk at a non-finite candidate u_next, or by F there.
         raise DivergenceError(
-            f"residual failed after {k + 1} iterations (u={u_next}): {exc}",
+            f"iterate {k + 1} failed (u={u_next}): {exc}",
             iterations=k + 1,
         ) from exc
     if cfg.tol > 0.0 and abs(resid) > cfg.tol:
@@ -188,7 +184,7 @@ def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
     slope = fd.f1
     if slope == 0.0:
         raise SingularDerivativeError(f"dF/du vanished at the root u={u}")
-    ud = Dual3(u)
+    ud = _mk(u, 0.0, 0.0)
     for _ in range(_SETTLE_PASSES):
         ud = ud - F(ud, g) / slope
     return ud

@@ -64,7 +64,7 @@ def _not_real(e) -> bool:
         isinstance(e, np.generic) and e.dtype.kind not in _REAL_KINDS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplineData:
     """Validated interpolation data: finite, strictly increasing x."""
 
@@ -105,11 +105,12 @@ class SplineData:
         return (SplineData, (self.x, self.y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SplineModel:
     """Built spline: knot slopes ``D`` plus per-segment cubic coefficients.
 
-    Immutable after construction; concurrent evaluation is safe.
+    Made only by :func:`build_spline`, from its data; a copy or pickle
+    runs that build again.  Immutable; concurrent evaluation is safe.
     """
 
     data: SplineData
@@ -119,21 +120,11 @@ class SplineModel:
     c: np.ndarray
     d: np.ndarray
 
-    def __post_init__(self):
-        for name in ("slopes", "a", "b", "c", "d"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        # Indexing a memoryview gives a plain float, indexing an ndarray a
-        # numpy scalar that costs more than the arithmetic it feeds.  Not
-        # fields: left out of ==, repr and pickling.
-        object.__setattr__(self, "_views", tuple(map(memoryview, (
-            self.data.x, self.a, self.b, self.c, self.d))))
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("a SplineModel is made only by build_spline(data)")
 
     def __reduce__(self):
-        # A memoryview cannot be pickled; rebuild from the fields.
-        return (SplineModel, (self.data, self.slopes, self.a, self.b, self.c,
-                              self.d))
+        return (build_spline, (self.data,))
 
 
 # Largest system for the interpreted sweep.  Timing all of build_spline
@@ -220,11 +211,16 @@ def build_spline(data: SplineData) -> SplineModel:
         d += slopes[1:]
     if not (np.isfinite(c).all() and np.isfinite(d).all()):
         raise ValidationError("ordinate differences overflow a float")
-    # Views suffice: y is SplineData's own read-only copy, and SplineModel
-    # makes slopes read-only.
-    a = y[:-1]
-    b = slopes[:-1]
-    return SplineModel(data=data, slopes=slopes, a=a, b=b, c=c, d=d)
+    for arr in slopes, c, d:
+        arr.setflags(write=False)
+    a, b = y[:-1], slopes[:-1]  # read-only views: y is SplineData's
+    # Filled as _mk fills a Dual3.  Indexing a memoryview gives a plain
+    # float, indexing an ndarray a numpy scalar that costs more than the
+    # arithmetic it feeds; _views is no field, so repr leaves it out.
+    model = object.__new__(SplineModel)
+    model.__dict__.update(data=data, slopes=slopes, a=a, b=b, c=c, d=d,
+                          _views=tuple(map(memoryview, (data.x, a, b, c, d))))
+    return model
 
 
 def eval_dual(model: SplineModel, x: Dual3) -> Dual3:

@@ -282,6 +282,11 @@ class TestCsvIngestion:
         path.write_text("2.0, 1.0\n1.0, 2.0\n")
         with pytest.raises(ValidationError, match="increasing"):
             read_xy_csv(str(path))
+        # the first bad line in file order is named, not a later one
+        path.write_text("2.0, 1.0\n1.0, 2.0\n3.0, 1.0\n4.0, oops\n")
+        with pytest.raises(ValidationError,
+                           match=":2: x values must be strictly increasing"):
+            read_xy_csv(str(path))
 
     def test_missing_file(self):
         with pytest.raises(ValidationError):

@@ -454,6 +454,10 @@ class TestPow:
     def test_negative_base_integer_exponent(self):
         assert_close(variable(-2.0) ** 3, (-8, 12, -12), tol=0)
         assert_close(variable(-2.0) ** -1, (-0.5, -0.25, -0.25), tol=1e-15)
+        # constant integer exponents above 10**6 take the same route
+        assert same_dual(Dual3(-1.0) ** 2_000_000, Dual3(1.0, -0.0, 0.0))
+        assert same_dual(variable(-1.0) ** 2_000_001,
+                         Dual3(-1.0, 2000001.0, -4000002000000.0))
 
     def test_zero_power_is_one(self):
         assert same_dual(variable(2.0) ** 0, Dual3(1.0, 0.0, 0.0))
@@ -461,6 +465,10 @@ class TestPow:
     def test_negative_power_of_underflowing_base_overflows(self):
         with pytest.raises(DomainError, match=r"x \*\* -2 overflows a float"):
             variable(1e-200) ** -2
+        with pytest.raises(DomainError, match=r"x \*\* -1e\+300 overflows"):
+            variable(0.9) ** -1e300
+        with pytest.raises(DomainError, match="non-finite component"):
+            variable(1.0) ** 1e300
         with pytest.raises(DomainError, match="division by zero"):
             variable(0.0) ** -2
 

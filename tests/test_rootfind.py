@@ -258,6 +258,7 @@ class TestErrors:
             find_root(cfg(1.0, method=method, tol=0.0, max_iters=5),
                       steep_offset, variable(0.5))
         assert err.value.iterations == 1
+        assert isinstance(err.value.__cause__, DomainError)
 
     @pytest.mark.parametrize("tol,max_iters,calls", [
         (1e-12, 10, 2 + 2),  # u0, and u1 with |F| = 5.6e-13; the settle

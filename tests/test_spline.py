@@ -407,17 +407,9 @@ class TestLookupEdges:
                         dual_chain_eval(model, xd))
 
 
-def strided(arr):
-    """``arr``'s values in a non-contiguous array."""
-    out = np.zeros(2 * len(arr))[::2]
-    out[:] = arr
-    assert not out.flags.c_contiguous
-    return out
-
-
 class TestModelViews:
-    """The evaluation views are built from the fields, whatever their
-    layout, and rebuilt for a copy."""
+    """A model comes only from build_spline, and a copy runs that build
+    again, evaluation views included."""
 
     @staticmethod
     def outcomes(model):
@@ -446,13 +438,21 @@ class TestModelViews:
         assert self.outcomes(twin) == self.outcomes(model)
         assert "memoryview" not in repr(model)
 
-    def test_strided_fields_evaluate_like_contiguous_ones(self):
-        model = jittered_model(np.random.RandomState(8), 12, peaked=True,
-                               jitter=0.3)
-        fields = (model.slopes, model.a, model.b, model.c, model.d)
-        twin = SplineModel(model.data, *map(strided, fields))
-        assert not twin.c.flags.c_contiguous
-        assert self.outcomes(twin) == self.outcomes(model)
+    def test_only_build_spline_makes_a_model(self):
+        m = jittered_model(np.random.RandomState(8), 12, peaked=True,
+                           jitter=0.3)
+        for args in (m.data, m.slopes, m.a, m.b, m.c, m.d), ():
+            with pytest.raises(TypeError, match="build_spline"):
+                SplineModel(*args)
+
+    def test_records_compare_by_identity(self):
+        x, y = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0])
+        data = SplineData(x, y)
+        assert data != SplineData(x, y)
+        model = build_spline(data)
+        assert model == model
+        assert (copy.deepcopy(model) == model) is False
+        assert len({data, model, build_spline(data)}) == 3
 
 
 def eval_outcome(evaluate, model, x):
