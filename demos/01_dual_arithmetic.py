@@ -7,7 +7,6 @@ expression as usual, and read both derivatives off the result.
 import math
 
 from dualnum import Dual3, compose, constant, exp, log, sin, sqrt, variable
-from dualnum.reference import TaylorJet
 
 x = variable(0.7)
 print("seeded variable      ", x)
@@ -37,15 +36,3 @@ cube_jet_at_2 = Dual3(8.0, 12.0, 12.0)
 print("compose(cube, g)     ", compose(cube_jet_at_2, g))
 print("g*g*g                ", g * g * g)
 
-# Taylor jets (a verification oracle) generalize the idea to higher
-# order; coefficients are f^(k)/k!, and multiplication is truncated
-# convolution
-base = TaylorJet((1.0, 1.0, 0.0, 0.0, 0.0))  # 1 + t, order 4
-power = base
-for _ in range(4):
-    power = power * base
-print("(1+t)^5 truncated    ", power.coeffs)
-
-# order-2 jets and Dual3 convert exactly in both directions
-d = Dual3(1.25, -2.5, 3.75)
-print("round trip           ", TaylorJet.from_dual3(d).to_dual3() == d)

@@ -13,14 +13,14 @@ that have no closed form:
   composes with arbitrary dual expressions.
 
 :mod:`dualnum.reference` holds independent oracles (finite differences,
-Jordan-block polynomial derivatives, truncated Taylor jets, the general
-and the closed-form tridiagonal inverses) used to cross-check everything
-else.
+Jordan-block polynomial derivatives, the general and the closed-form
+tridiagonal inverses) used to cross-check everything else.
 
-Only the spline uses arrays.  ``import dualnum`` loads neither it nor
-numpy: the spline names (``SplineData``, ``build_spline``, ...) import
-:mod:`dualnum.spline` on first use, so the root finder and the ODE
-solver run without numpy.
+Only the spline uses arrays, and only above 96 knots.  ``import
+dualnum`` loads neither it nor numpy: the spline names (``SplineData``,
+``build_spline``, ...) import :mod:`dualnum.spline` on first use, and
+the root finder, the ODE solver and splines of up to 96 knots run
+without numpy.
 """
 
 from .core import (
@@ -51,7 +51,8 @@ from .rootfind import MechanismParams, RootConfig, find_root
 
 __version__ = "0.1.0"
 
-# Loaded with dualnum.spline, and so with numpy, on first use (PEP 562).
+# Loaded with dualnum.spline on first use (PEP 562); numpy follows only
+# for a spline above 96 knots or an ndarray attribute read.
 _SPLINE_NAMES = frozenset(("SplineData", "SplineModel", "build_spline",
                            "diffusivity", "eval_dual", "find_derivative_root"))
 

@@ -29,8 +29,9 @@ from .errors import (NonConvergenceError, NumericalError, ValidationError,
 from .ode import duffing_problem, rk4dual
 from .rootfind import RootConfig, find_root
 
-# The spline subcommands import dualnum.spline, and numpy with it, when
-# they run; the other three never load either.
+# The spline subcommands import dualnum.spline when they run; on curves
+# of up to 96 knots it needs no numpy, and the other three never load
+# either.
 if TYPE_CHECKING:
     from .spline import SplineData
 
@@ -144,10 +145,13 @@ def _diffusivity(args) -> Rows:
     model = build_spline(data)
     if args.x0 is not None:
         start = check_finite("--x0", args.x0)
-    elif len(data) > 2:  # the strongest interior sample
-        start = float(data.x[int(data.y[1:-1].argmax()) + 1])
     else:
-        start = 0.5 * (float(data.x[0]) + float(data.x[-1]))
+        # Plain floats: reading data.x or data.y would load numpy.
+        xs, ys = (v.tolist() for v in data._views)
+        if len(xs) > 2:  # the strongest interior sample, the first if tied
+            start = xs[ys.index(max(ys[1:-1]), 1)]
+        else:
+            start = 0.5 * (xs[0] + xs[-1])
     peak = find_derivative_root(model, start)
     alpha = diffusivity(args.thickness, peak)
     at_peak = eval_dual(model, variable(peak))

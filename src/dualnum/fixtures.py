@@ -110,15 +110,15 @@ def radiometry_fixture() -> SplineData:
     range.  The peak sits at :func:`radiometry_peak_frequency`, so
     running the full pipeline recovers ``TARGET_DIFFUSIVITY``.
     """
-    import numpy as np
-
     from .spline import SplineData
 
     peak = radiometry_peak_frequency()
     width = 4e-3
-    freq = np.linspace(peak - 0.8 * width, peak + 0.8 * width, 33)
-    amplitude = 1.0 - ((freq - peak) / width) ** 2
-    return SplineData(freq, amplitude)
+    lo, hi = peak - 0.8 * width, peak + 0.8 * width
+    # np.linspace(lo, hi, 33) bit for bit: i * step + lo, then hi itself
+    step = (hi - lo) / 32
+    freq = [lo + i * step for i in range(32)] + [hi]
+    return SplineData(freq, [1.0 - ((f - peak) / width) ** 2 for f in freq])
 
 
 # -- Duffing oscillator ----------------------------------------------------

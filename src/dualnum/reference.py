@@ -2,22 +2,18 @@
 
 Nothing here shares a code path with the dual arithmetic: derivatives
 come from central differences, from polynomial evaluation on a Jordan
-block, from truncated Taylor convolution, from the two-sided theta/phi
-recurrences for a tridiagonal inverse, or from the closed-form inverse
-of the spline's knot-slope matrix.  The test suite plays these against
-the main modules; :class:`Dual3` appears only in the exact conversions
-to and from :class:`TaylorJet`.
+block, from the two-sided theta/phi recurrences for a tridiagonal
+inverse, or from the closed-form inverse of the spline's knot-slope
+matrix.  The test suite plays these against the main modules.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import Dual3
 from .errors import NumericalError, ValidationError, check_finite
 
 _EPS = float(np.finfo(float).eps)
@@ -177,62 +173,3 @@ def tinv_entry(n: int, s: int, k: int) -> float:
     )
     return sign * lead * bracket / denom
 
-
-@dataclass(frozen=True)
-class TaylorJet:
-    """Taylor coefficients ``c_k = f^(k)(x)/k!`` truncated at a fixed order.
-
-    The coefficient basis multiplies by truncated Cauchy convolution:
-    cross terms beyond the order are dropped exactly.  Order 2 converts
-    losslessly to and from :class:`Dual3` (``c2`` is ``f''/2``; the
-    factor 2 is a power of two, so the round trip is bit-exact).
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if len(coeffs) < 2:
-            raise ValidationError("TaylorJet needs order >= 1 (2+ coefficients)")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def constant(cls, c: float, order: int) -> "TaylorJet":
-        if order < 1:
-            raise ValidationError("order must be >= 1")
-        return cls((float(c),) + (0.0,) * order)
-
-    @classmethod
-    def from_dual3(cls, d: Dual3) -> "TaylorJet":
-        return cls((d.f0, d.f1, d.f2 / 2.0))
-
-    def to_dual3(self) -> Dual3:
-        if self.order != 2:
-            raise ValidationError(
-                f"only order-2 jets convert to Dual3, got order {self.order}"
-            )
-        c = self.coeffs
-        return Dual3(c[0], c[1], 2.0 * c[2])
-
-    def __mul__(self, other: "TaylorJet") -> "TaylorJet":
-        return jet_mul(self, other)
-
-
-def jet_mul(a: TaylorJet, b: TaylorJet) -> TaylorJet:
-    """Truncated convolution: ``c_k = sum_{i+j=k} a_i b_j`` for ``k <= n``."""
-    if a.order != b.order:
-        raise ValidationError(
-            f"jet order mismatch: {a.order} vs {b.order}"
-        )
-    n = a.order
-    out = [0.0] * (n + 1)
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0.0:
-            continue
-        for j in range(n + 1 - i):
-            out[i + j] += ai * b.coeffs[j]
-    return TaylorJet(tuple(out))

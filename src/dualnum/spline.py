@@ -11,19 +11,27 @@ derivative (in ``t``) at both ends of the parameterisation.
 LAPACK ``dgttrf`` (Anderson et al., *LAPACK Users' Guide*, 3rd ed.,
 SIAM 1999) interchanges no rows on it, and its pivots ``p_0 = 2``,
 ``p_{i+1} = 4 - 1/p_i`` reach their fixed point ``2 + sqrt(3)`` at index
-15.  ``_PIVOTS`` holds them, computed once at import.  Up to
-``_SWEEP_MAX_KNOTS`` knots an O(n) sweep on plain floats applies them in
-the operation order of ``dgttrs``, which is also that of ``dgtsv``;
-larger systems are filled from the table and passed to one ``dgttrs``
-call, with scipy imported only then.  Where LAPACK is compiled without
-fused multiply-add contraction, as in x86-64 OpenBLAS builds, both
-paths give the slopes of ``scipy.linalg.solve_banded`` (which calls
-``dgtsv``) bit for bit; the sweep itself rounds the same on every
-platform.  ``import dualnum`` loads neither this module nor numpy: the
-package imports it on first use of one of its names, so numpy loads
-with the first spline and scipy with the first spline above the cutoff.
-Evaluation reads knots and coefficients through memoryviews, which
-return plain floats, and finds the segment with ``bisect``.
+15.  ``_PIVOTS`` holds them, computed once at import.
+
+Up to ``_SWEEP_MAX_KNOTS`` knots the whole spline runs on plain floats:
+:class:`SplineData` checks its input in Python and keeps ``array('d')``
+copies, :func:`build_spline` applies the pivots in an O(n) sweep in the
+operation order of ``dgttrs``, which is also that of ``dgtsv``, and
+:func:`find_derivative_root` picks its candidate segments in a loop.
+Larger curves take the same steps as numpy array operations and one
+``dgttrs`` call; every operation is the float path's, in its order, so
+the cutoff moves no bit.  Where LAPACK is compiled without fused
+multiply-add contraction, as in x86-64 OpenBLAS builds, both paths give
+the slopes of ``scipy.linalg.solve_banded`` (which calls ``dgtsv``) bit
+for bit; the sweep itself rounds the same on every platform.
+
+Both paths keep one thing: read-only float64 buffers, which evaluation
+and the search index through memoryviews that return plain floats.
+``data.x``, ``data.y`` and the model's ``slopes`` and ``a`` ... ``d`` are
+read-only float64 ndarrays over those buffers, made on first access.
+``import dualnum`` loads neither this module nor numpy; numpy loads with
+the first spline above the cutoff or the first ndarray attribute read,
+and scipy with the first build above the cutoff.
 :func:`dualnum.reference.tinv_entry` gives ``T^{-1}`` in closed form as an
 independent check.
 
@@ -37,10 +45,11 @@ sign.  C1 and C2 in ``x`` hold for uniformly spaced knots.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from operator import lt, mul, sub
+from typing import TYPE_CHECKING
 
 from .core import Dual3, _mk
 from .errors import (
@@ -51,58 +60,121 @@ from .errors import (
     check_finite,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
+
+# Largest curve checked, built and searched on plain floats.  Timing all
+# of build_spline with the solve alone switched (2-vCPU x86-64, CPython
+# 3.11, scipy 1.17; two runs of 21 alternating repeats per size), the
+# sweep was faster up to 32 knots, even at 40 and 1.3-1.4x slower at 96,
+# 10-20 us a build.  SplineData plus build_spline on floats took 16 us
+# against numpy's 33 at 9 knots, 44 against 44 at 64 and 65 against 48
+# at 96 (same host, one pinned CPU, min of 21).  The cutoff stays at 96
+# since the other path imports numpy and scipy, which cost a fresh
+# process about 0.07 s and 0.3 s: the time of thousands of builds.
+_SWEEP_MAX_KNOTS = 96
 
 # numpy kinds that hold plain numbers: bool, signed, unsigned, float.
 # Dates and durations would convert as counts of days or seconds.
 _REAL_KINDS = "biuf"
 
+# Containers and element types that array('d') converts as numpy's
+# float conversion does: one correctly rounded float per element.
+_FLAT = (list, tuple, range, array)
+_PLAIN = {float, int, bool}
 
-def _not_real(e) -> bool:
-    """An object-array element that ``float()`` converts but that is no
-    real number: text, or a numpy scalar of another kind."""
-    return isinstance(e, (str, bytes)) or (
-        isinstance(e, np.generic) and e.dtype.kind not in _REAL_KINDS)
+_OVERFLOW = "ordinate differences overflow a float"
 
 
-@dataclass(frozen=True, eq=False)
+def _to_floats(v):
+    """A new float64 buffer holding ``v``: an ``array('d')`` for a flat
+    list, tuple, range or array of at most ``_SWEEP_MAX_KNOTS`` ints,
+    floats and bools, else an ndarray by numpy's conversion, whose
+    errors name what it refuses."""
+    if type(v) in _FLAT and len(v) <= _SWEEP_MAX_KNOTS and (
+            v.typecode not in "uw" if type(v) is array  # else text
+            else set(map(type, v)) <= _PLAIN):
+        try:
+            return array("d", v)
+        except OverflowError:  # an int beyond float range: numpy says so
+            pass
+    import numpy as np
+
+    def not_real(e):  # text, or a numpy scalar of another kind
+        return isinstance(e, (str, bytes)) or (
+            isinstance(e, np.generic) and e.dtype.kind not in _REAL_KINDS)
+
+    a = np.array(v)
+    # with dtype=float, numpy would parse "2"
+    if a.dtype.kind not in _REAL_KINDS + "O" or (
+            a.dtype.kind == "O" and any(map(not_real, a.flat))):
+        raise TypeError(f"got {a.dtype} data")
+    return a.astype(float, copy=False)
+
+
+def _ndarray_fields(*names):
+    """A ``__getattr__`` for the ndarray attributes ``names``: each is a
+    read-only float64 array over the record's ``_views`` entry at the
+    same position, made on first access (numpy loads then) and kept."""
+    def __getattr__(self, name):
+        if name not in names:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        import numpy as np
+
+        arr = np.frombuffer(self._views[names.index(name)], dtype=float)
+        object.__setattr__(self, name, arr)
+        return arr
+    return __getattr__
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SplineData:
     """Validated interpolation data: finite, strictly increasing x."""
 
     x: np.ndarray
     y: np.ndarray
 
-    def __post_init__(self):
+    def __init__(self, x, y):
         # Copies: a view would alias the caller's buffer, which could
         # then be edited past the checks below or set read-only.
         try:
-            x, y = (np.array(v) for v in (self.x, self.y))
-            for a in x, y:  # with dtype=float, numpy would parse "2"
-                if a.dtype.kind not in _REAL_KINDS + "O" or (
-                        a.dtype.kind == "O" and any(map(_not_real, a.flat))):
-                    raise TypeError(f"got {a.dtype} data")
-            x, y = x.astype(float, copy=False), y.astype(float, copy=False)
+            x, y = _to_floats(x), _to_floats(y)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
                 f"data points must be real numbers: {exc}") from None
-        if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
+        xv, yv = memoryview(x), memoryview(y)
+        if xv.ndim != 1 or yv.ndim != 1 or xv.shape != yv.shape:
             raise ValidationError("x and y must be 1-d arrays of equal length")
-        if x.size < 2:
-            raise ValidationError(f"need at least 2 points, got {x.size}")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        n = len(xv)
+        if n < 2:
+            raise ValidationError(f"need at least 2 points, got {n}")
+        if n <= _SWEEP_MAX_KNOTS:
+            x, y = (v if type(v) is array else array("d", v.tobytes())
+                    for v in (x, y))
+            finite = all(map(math.isfinite, x)) and all(map(math.isfinite, y))
+            increasing = all(map(lt, x, x[1:]))
+        else:
+            import numpy as np
+
+            finite = np.isfinite(x).all() and np.isfinite(y).all()
+            increasing = (x[1:] > x[:-1]).all()
+        if not finite:
             raise ValidationError("data points must be finite")
-        if not np.all(x[1:] > x[:-1]):
+        if not increasing:
             raise ValidationError("x values must be strictly increasing")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "_views", (memoryview(x).toreadonly(),
+                                            memoryview(y).toreadonly()))
+
+    __getattr__ = _ndarray_fields("x", "y")
 
     def __len__(self) -> int:
-        return int(self.x.size)
+        return len(self._views[0])
 
     def __reduce__(self):
-        # Rebuilt through the checks: a copied array comes back writable.
-        return (SplineData, (self.x, self.y))
+        # Rebuilt through the checks, from the buffers the views read.
+        return (SplineData, tuple(v.obj for v in self._views))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -123,17 +195,10 @@ class SplineModel:
     def __new__(cls, *args, **kwargs):
         raise TypeError("a SplineModel is made only by build_spline(data)")
 
+    __getattr__ = _ndarray_fields("a", "b", "c", "d", "slopes")
+
     def __reduce__(self):
         return (build_spline, (self.data,))
-
-
-# Largest system for the interpreted sweep.  Timing all of build_spline
-# both ways (2-vCPU x86-64, CPython 3.11, scipy 1.17; two runs of 21
-# alternating repeats per size), the sweep was faster up to 32 knots, even
-# at 40 and 1.3-1.4x slower at 96, 10-20 us a build.  The cutoff stays
-# at 96 since the dgttrs path imports scipy, which costs a fresh process
-# about 0.3 s: the time saved by 15 000 or more such builds.
-_SWEEP_MAX_KNOTS = 96
 
 
 # dgttrf's factors of T without the last row, whose pivot is 2 - 1/p_{n-2}:
@@ -165,18 +230,18 @@ def _sweep(r: list) -> list:
 
 
 def _solve(r: np.ndarray) -> np.ndarray:
-    """Solve ``T D = r``: by ``_sweep`` up to ``_SWEEP_MAX_KNOTS`` rows,
-    else by one ``dgttrs`` call, which may overwrite ``r``."""
-    n = r.size
-    if n <= _SWEEP_MAX_KNOTS:
-        return np.array(_sweep(r.tolist()))
+    """Solve ``T D = r`` (3 rows or more) by one ``dgttrs`` call, which
+    may overwrite ``r``."""
+    import numpy as np
     from scipy.linalg.lapack import dgttrs
 
     # T's factors: pivots from the table, their reciprocals below them,
     # the unit superdiagonal above, no row interchanges.  They are finite,
     # so a non-finite r can only show in the result.
+    n = r.size
     d = np.full(n, _PIVOTS[-1])
-    d[:len(_PIVOTS)] = _PIVOTS
+    k = min(n - 1, len(_PIVOTS))
+    d[:k] = _PIVOTS[:k]
     dl = 1.0 / d[:-1]
     d[-1] = 2.0 - dl[-1]
     x, _ = dgttrs(dl, d, np.ones(n - 1), np.zeros(n - 2),
@@ -186,17 +251,39 @@ def _solve(r: np.ndarray) -> np.ndarray:
 
 def build_spline(data: SplineData) -> SplineModel:
     """Solve the tridiagonal knot-slope system and fill segment coefficients."""
-    y = data.y
-    n = len(data)
+    y = data._views[1]
+    fill = _fill_floats if len(y) <= _SWEEP_MAX_KNOTS else _fill_ndarrays
+    return _model(data, *fill(y))
 
+
+def _fill_floats(y) -> tuple:
+    """Knot slopes and the ``c``, ``d`` coefficients of the ordinates
+    ``y`` as ``array('d')``s: ``_fill_ndarrays``'s operations in its
+    order, on floats."""
+    dy = list(map(sub, y[1:], y[:-1]))
+    slopes = _sweep([3.0 * dy[0]] + [3.0 * (q - p) for p, q in zip(y, y[2:])]
+                    + [3.0 * dy[-1]])
+    c, d = [], []
+    for e, s, t in zip(dy, slopes, slopes[1:]):
+        c.append(3.0 * e - 2.0 * s - t)
+        d.append(-2.0 * e + s + t)
+    if not (all(map(math.isfinite, c)) and all(map(math.isfinite, d))):
+        raise ValidationError(_OVERFLOW)
+    return array("d", slopes), array("d", c), array("d", d)
+
+
+def _fill_ndarrays(y) -> tuple:
+    """``_fill_floats`` by numpy array operations and ``_solve``."""
+    import numpy as np
+
+    y = np.frombuffer(y, dtype=float)
     # An overflow or inf - inf anywhere in the build reaches c or d, and
     # the one finite check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = np.empty(n)
+        rhs = np.empty(y.size)
         rhs[0] = 3.0 * (y[1] - y[0])
         rhs[-1] = 3.0 * (y[-1] - y[-2])
-        if n > 2:
-            rhs[1:-1] = 3.0 * (y[2:] - y[:-2])
+        rhs[1:-1] = 3.0 * (y[2:] - y[:-2])
 
         slopes = _solve(rhs)
 
@@ -210,16 +297,20 @@ def build_spline(data: SplineData) -> SplineModel:
         d += slopes[:-1]
         d += slopes[1:]
     if not (np.isfinite(c).all() and np.isfinite(d).all()):
-        raise ValidationError("ordinate differences overflow a float")
-    for arr in slopes, c, d:
-        arr.setflags(write=False)
-    a, b = y[:-1], slopes[:-1]  # read-only views: y is SplineData's
-    # Filled as _mk fills a Dual3.  Indexing a memoryview gives a plain
-    # float, indexing an ndarray a numpy scalar that costs more than the
-    # arithmetic it feeds; _views is no field, so repr leaves it out.
+        raise ValidationError(_OVERFLOW)
+    return slopes, c, d
+
+
+def _model(data: SplineData, slopes, c, d) -> SplineModel:
+    """The model of ``data`` with the float64 buffers ``slopes``, ``c``
+    and ``d``; ``a`` and ``b`` are views of ``y`` and ``slopes``."""
+    x, y = data._views
+    slopes, c, d = (memoryview(v).toreadonly() for v in (slopes, c, d))
+    # Filled as _mk fills a Dual3; _views is no field, so repr leaves it
+    # out.  Indexing a memoryview gives a plain float.
     model = object.__new__(SplineModel)
-    model.__dict__.update(data=data, slopes=slopes, a=a, b=b, c=c, d=d,
-                          _views=tuple(map(memoryview, (data.x, a, b, c, d))))
+    model.__dict__.update(data=data,
+                          _views=(y[:-1], slopes[:-1], c, d, slopes, x))
     return model
 
 
@@ -235,7 +326,7 @@ def eval_dual(model: SplineModel, x: Dual3) -> Dual3:
     ``+ - *`` by finite scalars follow), where the one ``_mk`` raises
     ``DomainError`` as the operators would.
     """
-    knots, a, b, c, d = model._views
+    a, b, c, d, _, knots = model._views
     x0, x1 = x.f0, x.f1
     lo, hi = knots[0], knots[-1]
     if not (lo <= x0 <= hi):
@@ -280,25 +371,14 @@ def find_derivative_root(model: SplineModel, x0: float) -> float:
     ``[0, 1]`` the one nearest ``x0`` is returned.
     """
     x0 = check_finite("x0", x0)
-    knots, _, bv, cv, dv = model._views
+    _, bv, cv, dv, _, knots = model._views
     lo, hi = knots[0], knots[-1]
     if not (lo <= x0 <= hi):
         raise OutOfRangeError(f"start x = {x0} outside data range [{lo}, {hi}]")
-    slopes, b, c, d = model.slopes, model.b, model.c, model.d
-    # Above about 1e154 the products below overflow to +-inf.  The masks
-    # read only signs, which survive, so numpy's overflow warning is noise.
-    with np.errstate(over="ignore"):
-        crosses = np.flatnonzero(slopes[:-1] * slopes[1:] <= 0.0)
-        # On nearly straight stretches rounding makes c (c + 3 d) < 0 hold
-        # on most segments; keep only the turns where the slope reaches
-        # zero.  The turn is at t = -c / (3 d) in (0, 1), so d is not zero
-        # there.
-        turns = np.flatnonzero(c * (c + 3.0 * d) < 0.0)
-        bt, ct = b[turns], c[turns]
-        at_turn = bt - ct * (ct / (3.0 * d[turns]))
-    turns = turns[np.sign(at_turn) != np.sign(bt)]
+    pick = (_candidates_floats if len(knots) <= _SWEEP_MAX_KNOTS
+            else _candidates_ndarrays)
     best, best_gap = None, math.inf
-    for i in crosses.tolist() + turns.tolist():
+    for i in pick(model):
         bi, ci, di = bv[i], cv[i], dv[i]
         if bi == ci == di == 0.0:
             raise SingularDerivativeError(
@@ -327,6 +407,45 @@ def find_derivative_root(model: SplineModel, x0: float) -> float:
         raise NoExtremumError("spline slope has no zero in the data range; "
                               "no interior extremum found")
     return best
+
+
+def _candidates_floats(model: SplineModel) -> list:
+    """The segments whose slope may vanish, in order: those where the knot
+    slopes differ in sign or one is zero, then those where the slope
+    turns inside and its value at the turn differs in sign from ``b`` or
+    is zero."""
+    _, b, c, d, slopes, _ = model._views
+    # Products above about 1e154 overflow to +-inf, keeping their signs.
+    crosses = [i for i, p in enumerate(map(mul, slopes, slopes[1:]))
+               if p <= 0.0]
+    # On nearly straight stretches rounding makes c (c + 3 d) < 0 hold on
+    # most segments; keep only the turns where the slope reaches zero.
+    # The turn is at t = -c / (3 d) in (0, 1), so d is not zero there.
+    turns = []
+    for i, (bi, ci, di) in enumerate(zip(b, c, d)):
+        if ci * (ci + 3.0 * di) < 0.0:
+            at_turn = bi - ci * (ci / (3.0 * di))
+            # np.sign(at_turn) != np.sign(bi): b, c, d are finite, so
+            # at_turn is no NaN
+            if (at_turn > 0.0, at_turn < 0.0) != (bi > 0.0, bi < 0.0):
+                turns.append(i)
+    return crosses + turns
+
+
+def _candidates_ndarrays(model: SplineModel) -> list:
+    """``_candidates_floats`` by numpy masks."""
+    import numpy as np
+
+    b, c, d, slopes = (np.frombuffer(v, dtype=float)
+                       for v in model._views[1:5])
+    # The masks read only signs, so numpy's overflow warning is noise.
+    with np.errstate(over="ignore"):
+        crosses = np.flatnonzero(slopes[:-1] * slopes[1:] <= 0.0)
+        turns = np.flatnonzero(c * (c + 3.0 * d) < 0.0)
+        bt, ct = b[turns], c[turns]
+        at_turn = bt - ct * (ct / (3.0 * d[turns]))
+    turns = turns[np.sign(at_turn) != np.sign(bt)]
+    return crosses.tolist() + turns.tolist()
 
 
 def diffusivity(thickness: float, peak_frequency: float) -> float:

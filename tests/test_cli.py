@@ -64,6 +64,16 @@ class TestExitCodes:
         assert code == 2
         assert "extremum" in err
 
+    def test_default_start_is_the_first_strongest_sample(self, capsys,
+                                                          tmp_path):
+        # two interior samples tie for the maximum: the search starts at
+        # the first, as np.argmax picks, and finds the peak beside it
+        twin = tmp_path / "twin.csv"
+        ys = [0.0, 0.5, 1.0, 0.5, 0.0, -0.5, 0.0, 0.5, 1.0, 0.5, 0.0]
+        twin.write_text("\n".join(f"{i},{y}" for i, y in enumerate(ys)))
+        code, out, _ = run_json(capsys, "diffusivity", "--csv", str(twin))
+        assert code == 0 and 1.5 < out["results"][0]["value"] < 2.5
+
     @pytest.mark.parametrize("fn", ["2sin2", "identity"])
     def test_unconverged_mechanism_is_two(self, capsys, fn):
         # the mechanism cannot assemble at x0 = 1: the damped solve stalls

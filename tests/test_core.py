@@ -25,7 +25,7 @@ from dualnum import (
     tan,
     variable,
 )
-from dualnum.reference import TaylorJet, central_diff, jet_mul
+from dualnum.reference import central_diff
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 # divisor components kept small relative to the real part so the quotient
@@ -572,45 +572,3 @@ class TestCompose:
         right = compose(fg_jet, h)
         assert_close(left, (right.f0, right.f1, right.f2), tol=1e-12)
 
-
-class TestTaylorJet:
-    def test_round_trip_is_exact(self):
-        d = Dual3(1.25, -2.5, 3.75)
-        assert TaylorJet.from_dual3(d).to_dual3() == d
-
-    def test_order2_mul_matches_dual_mul(self):
-        a, b = Dual3(1, 2, 0), Dual3(3, 4, 0)
-        jet = jet_mul(TaylorJet.from_dual3(a), TaylorJet.from_dual3(b))
-        assert jet.coeffs == (3.0, 10.0, 8.0)
-        assert jet.to_dual3() == a * b
-
-    def test_multiplicative_identity(self):
-        one = TaylorJet.constant(1.0, 4)
-        j = TaylorJet((2.0, -1.0, 0.5, 3.0, 7.0))
-        assert jet_mul(one, j) == j
-        assert jet_mul(j, one) == j
-
-    def test_binomial_truncation(self):
-        base = TaylorJet((1.0, 1.0, 0.0, 0.0, 0.0))
-        acc = base
-        for _ in range(4):
-            acc = acc * base
-        assert acc.coeffs == (1.0, 5.0, 10.0, 10.0, 5.0)
-
-    def test_order_mismatch(self):
-        with pytest.raises(ValidationError):
-            jet_mul(TaylorJet((1.0, 2.0)), TaylorJet((1.0, 2.0, 3.0)))
-
-    def test_order_zero_rejected(self):
-        with pytest.raises(ValidationError):
-            TaylorJet((1.0,))
-
-    @given(duals(), duals())
-    @settings(max_examples=50)
-    def test_jet_mul_agrees_with_dual_mul(self, a, b):
-        got = jet_mul(TaylorJet.from_dual3(a), TaylorJet.from_dual3(b)).to_dual3()
-        want = a * b
-        scale = max(1.0, abs(want.f0), abs(want.f1), abs(want.f2))
-        assert abs(got.f0 - want.f0) <= 1e-15 * scale
-        assert abs(got.f1 - want.f1) <= 1e-15 * scale
-        assert abs(got.f2 - want.f2) <= 1e-15 * scale

@@ -63,7 +63,7 @@ def resolves(name):
 
 def test_readme_api_sketch_names_resolve():
     names = api_sketch_names()
-    assert {"compose", "sin", "MechanismParams", "reference.jet_mul"} <= set(
+    assert {"compose", "sin", "MechanismParams", "reference.tinv_entry"} <= set(
         names)
     assert [name for name in names if not resolves(name)] == []
 
@@ -102,12 +102,54 @@ def test_array_free_subcommands_leave_numpy_unloaded():
 
 
 def test_spline_names_load_on_first_use():
+    # the module loads with the first spline name; numpy does not, since
+    # curves of up to 96 knots need none
     out = fresh_python(
         "import sys, dualnum\n"
         "data = dualnum.SplineData\n"
         "import dualnum.spline\n"
         "print('numpy' in sys.modules, data is dualnum.spline.SplineData)")
-    assert out == "True True\n"
+    assert out == "False True\n"
+
+
+def write_bump_csv(path, rows):
+    """``rows`` evenly spaced samples of a bump over [1, 3] peaking at
+    2.1, so both spline subcommands' defaults lie in range."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("x,y\n")
+        for i in range(rows):
+            x = 1.0 + 2.0 * i / (rows - 1)
+            fh.write(f"{x!r},{1.0 - (x - 2.1) ** 2!r}\n")
+    return str(path)
+
+
+def test_spline_subcommands_leave_numpy_unloaded(tmp_path):
+    # bundled data and CSV files of up to 96 rows run on plain floats; a
+    # 2-row bump is a straight line, so its peak search fails (exit 2)
+    runs = [["spline"], ["diffusivity"]]
+    for rows in (2, 17, 65, 96):
+        path = write_bump_csv(tmp_path / f"bump{rows}.csv", rows)
+        runs += [["spline", "--csv", path], ["diffusivity", "--csv", path]]
+    out = fresh_python(
+        "import contextlib, io, sys\n"
+        "from dualnum import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [cli.main(argv + ['--json']) for argv in {runs!r}]\n"
+        "print(codes, 'numpy' in sys.modules)")
+    assert out == "[0, 0, 0, 2, 0, 0, 0, 0, 0, 0] False\n"
+
+
+def test_a_97_row_csv_loads_numpy(tmp_path):
+    path = write_bump_csv(tmp_path / "bump97.csv", 97)
+    out = fresh_python(
+        "import contextlib, io, sys\n"
+        "from dualnum import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main([name, '--csv', {path!r}, '--json'])\n"
+        "             for name in ('spline', 'diffusivity')]\n"
+        "print(codes, 'numpy' in sys.modules)")
+    assert out == "[0, 0] True\n"
 
 
 def test_star_import_binds_every_public_name():

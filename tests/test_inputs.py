@@ -6,9 +6,13 @@ a bare ``OverflowError``/``TypeError`` and never a numerical failure
 further in.
 """
 
+import copy
 import dataclasses
+import functools
 import math
+import pickle
 from array import array
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +32,7 @@ from dualnum import (
     variable,
 )
 from dualnum.errors import check_finite
-from dualnum import fixtures
+from dualnum import fixtures, spline
 
 BAD = [float("nan"), math.inf, -math.inf, 10 ** 400, "2"]
 BAD_IDS = ["nan", "inf", "-inf", "10**400", "str"]
@@ -188,3 +192,131 @@ class TestSplineDataConversion:
         assert got.dtype == np.float64 and not got.flags.writeable
         assert not np.shares_memory(got, np.asarray(x))
         assert got.tobytes() == np.array(x, dtype=float).tobytes()
+
+
+def one_conversion_rule(x, y):
+    """SplineData's input rule stated as one numpy conversion, the way it
+    is applied above the float path's cutoff: the converted x and y, or
+    the message of the ValidationError."""
+    def not_real(e):
+        return isinstance(e, (str, bytes)) or (
+            isinstance(e, np.generic) and e.dtype.kind not in "biuf")
+
+    try:
+        x, y = np.array(x), np.array(y)
+        for a in x, y:
+            if a.dtype.kind not in "biufO" or (
+                    a.dtype.kind == "O" and any(map(not_real, a.flat))):
+                raise TypeError(f"got {a.dtype} data")
+        x, y = x.astype(float), y.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return f"data points must be real numbers: {exc}"
+    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
+        return "x and y must be 1-d arrays of equal length"
+    if x.size < 2:
+        return f"need at least 2 points, got {x.size}"
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return "data points must be finite"
+    if not (x[1:] > x[:-1]).all():
+        return "x values must be strictly increasing"
+    return x, y
+
+
+def _floats(n):
+    return [0.5 * i - 1.0 for i in range(n)]
+
+
+# name -> n -> (x, y): every input kind, accepted and refused
+INPUT_KINDS = {
+    "list": lambda n: (_floats(n), [i % 3 for i in range(n)]),
+    "tuple": lambda n: (tuple(_floats(n)), tuple(_floats(n))),
+    "range": lambda n: (range(n), range(0, 2 * n, 2)),
+    "array-d": lambda n: (array("d", _floats(n)), array("d", _floats(n))),
+    "array-i": lambda n: (array("i", range(n)), array("b", [1] * n)),
+    "float-ndarray": lambda n: (np.arange(n) / 3.0,
+                                np.arange(n, dtype=np.float32) / 3),
+    "int-ndarray": lambda n: (np.arange(n), np.arange(n, dtype=np.uint8)),
+    "bool-ndarray": lambda n: (range(n), np.arange(n) % 2 == 0),
+    "object-ndarray": lambda n: (
+        np.array([Fraction(i, 3) if i % 2 else i / 3 for i in range(n)],
+                 dtype=object), np.array(_floats(n), dtype=object)),
+    "bools": lambda n: (_floats(n), [i % 2 == 0 for i in range(n)]),
+    "big-ints": lambda n: ([2 ** 70 * (i + 1) for i in range(n)],
+                           [2 ** 64 + i for i in range(n)]),
+    "Fraction": lambda n: ([Fraction(i, 3) for i in range(n)], _floats(n)),
+    "Decimal": lambda n: ([Decimal(i) / 7 for i in range(n)],
+                          [Decimal("0.1")] * n),
+    "numpy-scalars": lambda n: (
+        [np.float32(i) + np.float32(0.5) if i % 2 else np.int64(i)
+         for i in range(n)], [np.float64(0.1)] * n),
+    "str": lambda n: ([str(i) for i in range(n)], _floats(n)),
+    "str-among-floats": lambda n: (_floats(n - 1) + ["3e30"], _floats(n)),
+    "bytes": lambda n: (_floats(n), [b"0"] * n),
+    "complex": lambda n: ([complex(i) for i in range(n)], _floats(n)),
+    "complex128": lambda n: (_floats(n), [np.complex128(1.0)] * n),
+    "datetime64": lambda n: (np.arange(n).astype("datetime64[D]"),
+                             _floats(n)),
+    "timedelta64": lambda n: (_floats(n),
+                              np.arange(n).astype("timedelta64[s]")),
+    "nested": lambda n: ([[i, i] for i in range(n)], _floats(n)),
+    "ragged": lambda n: ([[i] * (1 + i % 2) for i in range(n)], _floats(n)),
+    "0-d": lambda n: (2.5, np.array(1.0)),
+    "big-int-overflow": lambda n: (_floats(n), [10 ** 400] * n),
+    "nan": lambda n: (_floats(n - 1) + [math.nan], _floats(n)),
+    "inf": lambda n: (_floats(n), [-math.inf] + _floats(n - 1)),
+    "unsorted": lambda n: (_floats(n)[::-1], _floats(n)),
+    "length": lambda n: (_floats(n), _floats(n - 1)),
+}
+
+
+class TestInputRuleOnBothSidesOfTheCutoff:
+    """9 knots are checked on plain floats, 200 by numpy; both give every
+    input kind the outcome of the one-conversion rule."""
+
+    @pytest.mark.parametrize("n", [9, 200])
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_same_outcome_as_one_conversion(self, kind, n):
+        x, y = INPUT_KINDS[kind](n)
+        want = one_conversion_rule(x, y)
+        if isinstance(want, str):
+            with pytest.raises(ValidationError) as err:
+                SplineData(x, y)
+            assert str(err.value) == want
+            return
+        data = SplineData(x, y)
+        for got, expected in zip((data.x, data.y), want):
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert not got.flags.writeable
+            assert got.tobytes() == expected.tobytes()
+
+    def test_refused_kinds_are_refused(self):
+        refused = {kind for kind in INPUT_KINDS
+                   if isinstance(one_conversion_rule(*INPUT_KINDS[kind](9)),
+                                 str)}
+        assert refused == {
+            "str", "str-among-floats", "bytes", "complex", "complex128",
+            "datetime64", "timedelta64", "nested", "ragged", "0-d",
+            "big-int-overflow", "nan", "inf", "unsorted", "length"}
+
+    @pytest.mark.parametrize("n", [9, 200])
+    def test_model_arrays_and_copies(self, monkeypatch, n):
+        builds = []
+
+        @functools.wraps(spline.build_spline)
+        def counted(data):
+            builds.append(data)
+            return real(data)
+
+        real = spline.build_spline
+        monkeypatch.setattr(spline, "build_spline", counted)
+        model = real(SplineData(*INPUT_KINDS["list"](n)))
+        for name in ("slopes", "a", "b", "c", "d"):
+            arr = getattr(model, name)
+            assert type(arr) is np.ndarray and arr.dtype == np.float64
+            assert not arr.flags.writeable
+        clones = [pickle.loads(pickle.dumps(model)), copy.copy(model),
+                  copy.deepcopy(model)]
+        assert len(builds) == 3
+        for twin in clones:
+            assert twin.slopes.tobytes() == model.slopes.tobytes()
+            assert twin.data.x.tobytes() == model.data.x.tobytes()

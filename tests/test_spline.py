@@ -24,8 +24,9 @@ from dualnum import (
     sin,
     variable,
 )
-from dualnum import fixtures
-from dualnum.spline import _FACTORS, _PIVOTS, _SWEEP_MAX_KNOTS, _solve
+from dualnum import fixtures, spline
+from dualnum.spline import (_FACTORS, _PIVOTS, _SWEEP_MAX_KNOTS, _solve,
+                            _sweep)
 from dualnum.reference import (
     UnsupportedSizeError,
     tinv_entry,
@@ -225,7 +226,7 @@ class TestSweepMatchesBandedSolve:
     def test_sweep_bits_on_any_right_hand_side(self):
         # Right-hand sides no ordinates produce, such as -0, +0, -0 in
         # the last three rows, reach LAPACK's zero DU2(i) r[i + 2] term,
-        # on both sides of the cutoff.
+        # on both sides of the cutoff: the sweep up to it, dgttrs above.
         rng = np.random.RandomState(31)
         for n in self.SIZES:
             signed_zeros = np.where(rng.rand(n) < 0.5, -0.0, 0.0)
@@ -233,7 +234,11 @@ class TestSweepMatchesBandedSolve:
                              rng.uniform(-1.0, 1.0, n))
             for rhs in (signed_zeros, mixed):
                 want = self.banded_solve(rhs).tobytes()
-                assert _solve(rhs.copy()).tobytes() == want, n
+                if n <= _SWEEP_MAX_KNOTS:
+                    got = np.array(_sweep(rhs.tolist()))
+                else:
+                    got = _solve(rhs.copy())
+                assert got.tobytes() == want, n
 
     def test_pivot_table_is_the_lapack_factorisation(self):
         # dgttrf on T: no interchanges, the table's pivots on the diagonal
@@ -658,6 +663,109 @@ class TestDerivativeRoot:
             find_derivative_root(model, 5.0)
 
 
+def root_outcome(model, x0):
+    """The bytes of the extremum found from ``x0``, or the class of the
+    numerical error raised."""
+    try:
+        return struct.pack("<d", find_derivative_root(model, x0))
+    except NumericalError as exc:
+        return type(exc)
+
+
+class TestFloatPathMatchesArrayPath:
+    """Up to _SWEEP_MAX_KNOTS knots a spline is built and searched on
+    plain floats, above it with numpy arrays.  Both internals, run on the
+    same data at every size from 2 to 130, give the same bits and errors,
+    and pick the same candidate segments in the same order."""
+
+    FAMILIES = ("random", "signed-zeros", "tiny", "huge", "overflow", "dips")
+
+    @staticmethod
+    def ordinates(rng, n, family):
+        y = rng.uniform(-1.0, 1.0, n)
+        if family == "signed-zeros":
+            return np.where(rng.rand(n) < 0.8,
+                            np.where(rng.rand(n) < 0.5, -0.0, 0.0), y)
+        if family == "tiny":
+            return y * 1e-300
+        if family == "huge":  # the candidate products overflow
+            return y * 1e300
+        if family == "overflow":
+            return np.where(np.arange(n) % 2 == 0, 1e308, -1e308)
+        if family == "dips":  # rising, with a dip inside every 2nd segment
+            i = np.arange(n)
+            return i // 2 + np.where(i % 2 == 1, 1.0, -0.02 * (i > 0))
+        return y
+
+    @pytest.fixture
+    def any_size(self, monkeypatch):
+        """Both paths at every size: the sweep's tables extended by their
+        fixed point, and solve_banded (dgtsv, the same bits) for the
+        2-row system, which scipy's dgttrs wrapper refuses."""
+        from scipy.linalg import solve_banded
+
+        extra = 130 - len(_PIVOTS)
+        monkeypatch.setattr(spline, "_PIVOTS", _PIVOTS + _PIVOTS[-1:] * extra)
+        monkeypatch.setattr(spline, "_FACTORS",
+                            _FACTORS + _FACTORS[-1:] * extra)
+        two_rows = np.array([[0.0, 1.0], [2.0, 2.0], [1.0, 0.0]])
+        monkeypatch.setattr(spline, "_solve", lambda r: solve_banded(
+            (1, 1), two_rows, r, check_finite=False) if r.size == 2
+            else _solve(r))
+
+    @staticmethod
+    def models(data):
+        """The model each path builds, or its ValidationError's message."""
+        out = []
+        for fill in spline._fill_floats, spline._fill_ndarrays:
+            try:
+                out.append(spline._model(data, *fill(data._views[1])))
+            except ValidationError as exc:
+                out.append(str(exc))
+        return out
+
+    @pytest.mark.parametrize("n", range(2, 131))
+    def test_same_bits_errors_and_candidates(self, any_size, n):
+        rng = np.random.RandomState(n)
+        if n % 2:
+            x = np.arange(n) * 0.75 - 2.0
+        else:
+            x = random_data(rng, n).x
+        for family in self.FAMILIES:
+            data = SplineData(x, self.ordinates(rng, n, family))
+            floats, arrays = self.models(data)
+            if family == "overflow":
+                assert floats == arrays == "ordinate differences overflow " \
+                                           "a float"
+                continue
+            for name in ("slopes", "a", "b", "c", "d"):
+                got, want = getattr(floats, name), getattr(arrays, name)
+                assert got.tobytes() == want.tobytes(), (family, name)
+            knots = data.x.tolist()
+            points = knots + rng.uniform(knots[0], knots[-1], 5).tolist()
+            for p in points:
+                xd = Dual3(p, 1.0, -0.5)
+                assert eval_outcome(eval_dual, floats, xd) == eval_outcome(
+                    eval_dual, arrays, xd), (family, p)
+            assert spline._candidates_floats(floats) == \
+                spline._candidates_ndarrays(arrays), family
+            for x0 in knots[0], knots[n // 2], knots[-1], points[-1]:
+                assert root_outcome(floats, x0) == root_outcome(arrays, x0)
+
+    def test_candidates_agree_on_zero_signs(self):
+        # Coefficients no data need produce: zeros of either sign, and
+        # slopes that touch zero exactly at a turn, as -(1 - 3t)^2 does
+        # (b, c, d = -1, 3, -3), where only np.sign's zero tells.
+        rng = np.random.RandomState(7)
+        values = np.array([-3.0, -1.0, -0.0, 0.0, 1.0, 3.0])
+        data = SplineData(np.arange(40.0), np.zeros(40))
+        for _ in range(200):
+            slopes, c, d = (rng.choice(values, n) for n in (40, 39, 39))
+            model = spline._model(data, slopes, c, d)
+            assert spline._candidates_floats(model) == \
+                spline._candidates_ndarrays(model)
+
+
 class TestDiffusivity:
     def test_formula_inversion_fixture(self):
         peak = fixtures.radiometry_peak_frequency()
@@ -670,6 +778,15 @@ class TestDiffusivity:
         peak = find_derivative_root(model, start)
         alpha = diffusivity(fixtures.SAMPLE_THICKNESS, peak)
         assert alpha == pytest.approx(fixtures.TARGET_DIFFUSIVITY, rel=0.02)
+
+    def test_fixture_holds_the_linspace_curve(self):
+        # built on floats, it keeps the bits np.linspace gave it
+        data = fixtures.radiometry_fixture()
+        peak, width = fixtures.radiometry_peak_frequency(), 4e-3
+        freq = np.linspace(peak - 0.8 * width, peak + 0.8 * width, 33)
+        assert data.x.tobytes() == freq.tobytes()
+        assert data.y.tobytes() == (
+            1.0 - ((freq - peak) / width) ** 2).tobytes()
 
     def test_linearity(self):
         base = diffusivity(522e-6, 5.0)
