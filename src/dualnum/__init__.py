@@ -17,10 +17,9 @@ Jordan-block polynomial derivatives, the general and the closed-form
 tridiagonal inverses) used to cross-check everything else.
 
 Only the spline uses arrays, and only above 96 knots.  ``import
-dualnum`` loads neither it nor numpy: the spline names (``SplineData``,
-``build_spline``, ...) import :mod:`dualnum.spline` on first use, and
-the root finder, the ODE solver and splines of up to 96 knots run
-without numpy.
+dualnum`` loads neither numpy nor :mod:`dataclasses`: the spline and ODE
+names (``SplineData``, ``rk4``, ...) import their module on first use,
+and only :mod:`dualnum.ode` loads :mod:`dataclasses`.
 """
 
 from .core import (
@@ -46,26 +45,28 @@ from .errors import (
     SingularDerivativeError,
     ValidationError,
 )
-from .ode import OdeProblem, duffing_problem, rk4, rk4dual
 from .rootfind import MechanismParams, RootConfig, find_root
 
 __version__ = "0.1.0"
 
-# Loaded with dualnum.spline on first use (PEP 562); numpy follows only
-# for a spline above 96 knots or an ndarray attribute read.
-_SPLINE_NAMES = frozenset(("SplineData", "SplineModel", "build_spline",
-                           "diffusivity", "eval_dual", "find_derivative_root"))
+# name -> its submodule, imported on first use (PEP 562).  numpy follows
+# only for a spline above 96 knots or an ndarray attribute read.
+_LAZY = {name: module for module, names in (
+    ("spline", ("SplineData", "SplineModel", "build_spline", "diffusivity",
+                "eval_dual", "find_derivative_root")),
+    ("ode", ("OdeProblem", "duffing_problem", "rk4", "rk4dual")))
+    for name in names}
 
 
 def __getattr__(name):
-    if name in _SPLINE_NAMES:
-        from . import spline
-        return getattr(spline, name)
+    if name in _LAZY:
+        from importlib import import_module
+        return getattr(import_module("." + _LAZY[name], __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | _SPLINE_NAMES)
+    return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
     "Dual3",
@@ -81,16 +82,7 @@ __all__ = [
     "RootConfig",
     "MechanismParams",
     "find_root",
-    "SplineData",
-    "SplineModel",
-    "build_spline",
-    "eval_dual",
-    "find_derivative_root",
-    "diffusivity",
-    "OdeProblem",
-    "rk4",
-    "rk4dual",
-    "duffing_problem",
+    *_LAZY,
     "ValidationError",
     "OutOfRangeError",
     "NumericalError",

@@ -10,7 +10,8 @@ computes its rows and the reference values ``--check`` compares against.
 Shared flags: ``--json`` for machine-readable output, ``--check`` to
 compare against the embedded reference values, ``--precision`` for the
 number of displayed digits.  Exit codes: 0 success, 1 validation error,
-2 numerical failure (including a failed ``--check``).
+2 numerical failure (including a failed ``--check``), and from
+``python -m dualnum`` 3 when standard output is a closed pipe.
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ from . import fixtures
 from .core import Dual3, constant, sin, variable
 from .errors import (NonConvergenceError, NumericalError, ValidationError,
                      check_finite)
-from .ode import duffing_problem, rk4dual
 from .rootfind import RootConfig, find_root
 
-# The spline subcommands import dualnum.spline when they run; on curves
-# of up to 96 knots it needs no numpy, and the other three never load
-# either.
+# The spline subcommands import dualnum.spline when they run (no numpy up
+# to 96 knots), and duffing dualnum.ode (with dataclasses).
 if TYPE_CHECKING:
     from .spline import SplineData
 
@@ -160,6 +159,8 @@ def _diffusivity(args) -> Rows:
 
 
 def _duffing(args) -> Rows:
+    from .ode import duffing_problem, rk4dual
+
     problem = duffing_problem(fixtures.DUFFING_STEPS)
     td = variable(args.t)
     f = rk4dual(problem, td)
@@ -325,6 +326,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _emit(rows, checks, args)
     return 0 if all(c["pass"] for c in checks) else 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

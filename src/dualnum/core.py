@@ -31,10 +31,9 @@ need check its operands: they are finite by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError
 from typing import Callable, Union
 
-from .errors import DomainError, _complex, check_finite
+from .errors import DomainError, _Record, _complex, check_finite
 
 Number = Union[int, float]
 
@@ -64,7 +63,7 @@ def _as_dual(value) -> "Dual3":
     return _mk(_scalar(value), 0.0, 0.0)
 
 
-class Dual3:
+class Dual3(_Record):
     """A value with its first and second derivative: ``{f, f', f''}``.
 
     Instances are immutable and all operations are pure, so values may be
@@ -74,8 +73,7 @@ class Dual3:
     ``d / inf``, which gives signed zeros.
     """
 
-    __slots__ = ("f0", "f1", "f2")
-    __match_args__ = ("f0", "f1", "f2")
+    __slots__ = __match_args__ = ("f0", "f1", "f2")
 
     f0: float
     f1: float
@@ -83,23 +81,6 @@ class Dual3:
 
     def __new__(cls, f0: Number, f1: Number = 0.0, f2: Number = 0.0):
         return _mk(_scalar(f0), _scalar(f1), _scalar(f2))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.f0, self.f1, self.f2) == (other.f0, other.f1, other.f2)
-
-    def __hash__(self):
-        return hash((self.f0, self.f1, self.f2))
-
-    def __reduce__(self):
-        return (Dual3, (self.f0, self.f1, self.f2))
 
     def __repr__(self) -> str:
         return f"Dual3({self.f0!r}, {self.f1!r}, {self.f2!r})"

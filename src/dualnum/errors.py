@@ -3,7 +3,8 @@
 Two roots: :class:`ValidationError` for rejected inputs and
 :class:`NumericalError` for failures that occur while computing.  The CLI
 maps them to exit codes 1 and 2 respectively.  :func:`check_finite` and
-:func:`check_count` are the two input checks every module shares.
+:func:`check_count` are the two input checks every module shares, and
+``_Record`` the frozen behaviour of the values and records they check.
 """
 
 import math
@@ -59,6 +60,41 @@ class BlowUpError(NumericalError):
     def __init__(self, message: str, step: int = 0):
         super().__init__(message)
         self.step = step
+
+
+class _Record:
+    """Base of ``Dual3`` and the records: fields named in ``__match_args__``
+    and set once, after the checks, which a copy or pickle runs again.
+    Assignment and deletion raise ``AttributeError``; equality is by value."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        values = tuple(getattr(self, name) for name in self.__match_args__)
+        return (type(self), values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}"
+                  for name in self.__match_args__)
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
 def check_count(name: str, value) -> None:

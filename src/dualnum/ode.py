@@ -16,13 +16,15 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from .core import Dual3, compose
-from .errors import BlowUpError, DomainError, check_count, check_finite
+from .errors import (BlowUpError, DomainError, _Record, check_count,
+                     check_finite)
 
 Rhs = Callable[[float, float, float], float]
 
 
+# A dataclass for perfbench's dataclasses.replace; copies check via _Record.
 @dataclass(frozen=True)
-class OdeProblem:
+class OdeProblem(_Record):
     """Initial conditions, right-hand-side pair and step count.
 
     ``num_steps`` RK4 steps are taken from ``t0`` to each query point;

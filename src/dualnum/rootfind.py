@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import Dual3, _mk, cos, sin
@@ -44,6 +43,7 @@ from .errors import (
     NonConvergenceError,
     SingularDerivativeError,
     ValidationError,
+    _Record,
     check_count,
     check_finite,
 )
@@ -71,8 +71,7 @@ _MAX_HALVINGS = 10
 _bits = struct.Struct("<d").pack
 
 
-@dataclass(frozen=True)
-class RootConfig:
+class RootConfig(_Record):
     """Iteration controls for :func:`find_root`.
 
     ``method`` is ``"newton"`` or ``"halley"``.  ``tol`` is a residual
@@ -85,20 +84,18 @@ class RootConfig:
     ``tol = 0`` too.
     """
 
-    u0: float
-    method: str = "newton"
-    max_iters: int = 100
-    tol: float = 1e-12
+    __slots__ = __match_args__ = ("u0", "method", "max_iters", "tol")
 
-    def __post_init__(self):
-        if self.method not in ("newton", "halley"):
-            raise ValidationError(f"unknown method {self.method!r}")
-        object.__setattr__(self, "u0", check_finite("u0", self.u0))
-        check_count("max_iters", self.max_iters)
-        tol = check_finite("tol", self.tol)
+    def __init__(self, u0: float, method: str = "newton",
+                 max_iters: int = 100, tol: float = 1e-12):
+        if method not in ("newton", "halley"):
+            raise ValidationError(f"unknown method {method!r}")
+        u0 = check_finite("u0", u0)
+        check_count("max_iters", max_iters)
+        tol = check_finite("tol", tol)
         if tol < 0.0:
             raise ValidationError(f"tol must be >= 0, got {tol}")
-        object.__setattr__(self, "tol", tol)
+        self._set(u0, method, max_iters, tol)
 
 
 def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
@@ -192,8 +189,7 @@ def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
 
 # -- RRRCR spatial mechanism --------------------------------------------
 
-@dataclass(frozen=True)
-class MechanismParams:
+class MechanismParams(_Record):
     """Link constants of the RRRCR spatial mechanism loop-closure equation.
 
     ``c1``/``c2`` default to the positive cosine branch paired with the
@@ -202,32 +198,25 @@ class MechanismParams:
     :class:`~dualnum.errors.ValidationError`.
     """
 
-    L: float
-    l: float
-    a: float
-    R: float
-    s1: float
-    s2: float
-    b: float
-    e: float
-    c1: float = field(default=None)  # type: ignore[assignment]
-    c2: float = field(default=None)  # type: ignore[assignment]
+    __slots__ = __match_args__ = ("L", "l", "a", "R", "s1", "s2", "b", "e",
+                                  "c1", "c2")
 
-    def __post_init__(self):
-        for name in ("L", "l", "a", "R", "s1", "s2", "b", "e"):
-            object.__setattr__(self, name,
-                               check_finite(name, getattr(self, name)))
-        for tag in ("1", "2"):
-            s, c = getattr(self, "s" + tag), getattr(self, "c" + tag)
+    def __init__(self, L: float, l: float, a: float, R: float, s1: float,
+                 s2: float, b: float, e: float, c1: float | None = None,
+                 c2: float | None = None):
+        values = [check_finite(name, v) for name, v in
+                  zip(self.__match_args__, (L, l, a, R, s1, s2, b, e))]
+        for tag, s, c in (("1", values[4], c1), ("2", values[5], c2)):
             if abs(s) > 1.0:
                 raise ValidationError(f"|s{tag}| = {abs(s)} > 1")
             c = (math.sqrt(1.0 - s ** 2) if c is None
                  else check_finite("c" + tag, c))
-            object.__setattr__(self, "c" + tag, c)
             if not abs(s * s + c * c - 1.0) <= 1e-12:
                 raise ValidationError(
                     f"s{tag}^2 + c{tag}^2 = {s * s + c * c} != 1"
                 )
+            values.append(c)
+        self._set(*values)
 
     def loop_closure(self, phi: Dual3, theta: Dual3) -> Dual3:
         """Loop-closure residual; zero relates output angle phi to input theta."""

@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import lt, mul, sub
 from typing import TYPE_CHECKING
 
@@ -57,6 +56,7 @@ from .errors import (
     OutOfRangeError,
     SingularDerivativeError,
     ValidationError,
+    _Record,
     check_finite,
 )
 
@@ -129,12 +129,11 @@ def _ndarray_fields(*names):
     return __getattr__
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class SplineData:
+class SplineData(_Record):
     """Validated interpolation data: finite, strictly increasing x."""
 
-    x: np.ndarray
-    y: np.ndarray
+    __match_args__ = ("x", "y")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity
 
     def __init__(self, x, y):
         # Copies: a view would alias the caller's buffer, which could
@@ -177,20 +176,16 @@ class SplineData:
         return (SplineData, tuple(v.obj for v in self._views))
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class SplineModel:
-    """Built spline: knot slopes ``D`` plus per-segment cubic coefficients.
+class SplineModel(_Record):
+    """Built spline: knot slopes ``D`` in the t parameter (``slopes``,
+    length n) plus per-segment cubic coefficients (``a`` ... ``d``).
 
     Made only by :func:`build_spline`, from its data; a copy or pickle
     runs that build again.  Immutable; concurrent evaluation is safe.
     """
 
-    data: SplineData
-    slopes: np.ndarray  # D, length n: knot slopes in the t parameter
-    a: np.ndarray       # per-segment coefficients, length n - 1
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
+    __match_args__ = ("data", "slopes", "a", "b", "c", "d")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity
 
     def __new__(cls, *args, **kwargs):
         raise TypeError("a SplineModel is made only by build_spline(data)")

@@ -115,6 +115,19 @@ class TestExitCodes:
         code, _, err = run(capsys, "spline", "--at", "99.0")
         assert code == 1
 
+    def test_closed_stdout_is_three(self):
+        # The reader has gone: every write to a pipe whose read end is
+        # closed fails with EPIPE.  No traceback, and a code of its own.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dualnum", "duffing", "--json"],
+                env=fresh_env(), stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (3, b"")
+
     def test_bad_precision_is_one(self, capsys):
         code, _, _ = run(capsys, "spline", "--precision", "0")
         assert code == 1
@@ -205,6 +218,15 @@ GOLDEN_CHECKED = [
      ["duffing", "--precision", "7"], 0),
 ]
 
+
+def fresh_env():
+    """The environment of a new interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
 # Every golden as (file, full argv, exit code).
 GOLDEN_RUNS = ([(f"{golden}.json", argv + ["--json"], 0)
                 for golden, argv in GOLDEN_JSON]
@@ -233,11 +255,8 @@ class TestGoldenJson:
     @pytest.mark.parametrize("golden,argv,want_code", GOLDEN_RUNS,
                              ids=[run[0] for run in GOLDEN_RUNS])
     def test_fresh_process_matches_golden(self, golden, argv, want_code):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [SRC, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "dualnum", *argv],
-                              env=env, capture_output=True)
+                              env=fresh_env(), capture_output=True)
         assert (proc.returncode, proc.stderr) == (want_code, b"")
         assert proc.stdout == (GOLDEN / golden).read_bytes()
 

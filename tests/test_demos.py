@@ -140,6 +140,43 @@ def test_spline_subcommands_leave_numpy_unloaded(tmp_path):
     assert out == "[0, 0, 0, 2, 0, 0, 0, 0, 0, 0] False\n"
 
 
+def test_import_leaves_dataclasses_and_ode_unloaded():
+    out = fresh_python(
+        "import sys, dualnum\n"
+        "print(sorted({'dataclasses', 'inspect', 'dualnum.ode'}"
+        " & set(sys.modules)))")
+    assert out == "[]\n"
+
+
+def test_subcommands_but_duffing_leave_dataclasses_unloaded(tmp_path):
+    # dataclasses imports inspect, ast, dis and tokenize: several ms of a
+    # fresh process's start-up.  Only dualnum.ode still needs it.
+    path = write_bump_csv(tmp_path / "bump96.csv", 96)
+    runs = [[name, "--check"] for name in ("nr-example1", "mechanism",
+                                           "spline", "diffusivity")]
+    runs += [["mechanism", "--fn", "identity", "--check"],
+             ["spline", "--csv", path], ["diffusivity", "--csv", path]]
+    out = fresh_python(
+        "import contextlib, io, sys\n"
+        "from dualnum import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv + ['--json']) for argv in {runs!r}]\n"
+        "print(codes, sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert out == "[0, 0, 0, 0, 0, 0, 0] []\n"
+
+
+def test_ode_names_load_on_first_use():
+    out = fresh_python(
+        "import sys, dualnum\n"
+        "names = {'OdeProblem', 'duffing_problem', 'rk4', 'rk4dual'}\n"
+        "listed = names <= set(dir(dualnum))\n"
+        "loaded = 'dualnum.ode' in sys.modules\n"
+        "from dualnum import OdeProblem\n"
+        "import dualnum.ode\n"
+        "print(listed, loaded, OdeProblem is dualnum.ode.OdeProblem)")
+    assert out == "True False True\n"
+
+
 def test_a_97_row_csv_loads_numpy(tmp_path):
     path = write_bump_csv(tmp_path / "bump97.csv", 97)
     out = fresh_python(

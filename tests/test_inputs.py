@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from dualnum import (
+    MechanismParams,
     OdeProblem,
     RootConfig,
     SplineData,
@@ -34,12 +35,16 @@ from dualnum import (
 from dualnum.errors import check_finite
 from dualnum import fixtures, spline
 
+MECHANISM_FIELDS = ("L", "l", "a", "R", "s1", "s2", "b", "e", "c1", "c2")
 BAD = [float("nan"), math.inf, -math.inf, 10 ** 400, "2"]
 BAD_IDS = ["nan", "inf", "-inf", "10**400", "str"]
 
 
 def _mechanism(**change):
-    return dataclasses.replace(fixtures.MECHANISM_PARAMS, **change)
+    # rebuilt through the constructor, so every check runs again
+    params = fixtures.MECHANISM_PARAMS
+    return MechanismParams(**{**{name: getattr(params, name)
+                                 for name in MECHANISM_FIELDS}, **change})
 
 
 def _ode(**change):
@@ -59,7 +64,7 @@ ENTRIES = {
     "RootConfig.tol": lambda v: RootConfig(u0=1.0, tol=v),
     **{f"MechanismParams.{name}": (lambda v, name=name:
                                    _mechanism(**{name: v}))
-       for name in ("L", "l", "a", "R", "s1", "s2", "b", "e", "c1", "c2")},
+       for name in MECHANISM_FIELDS},
     "rk4.t_end": lambda v: rk4(duffing_problem(), v),
     **{f"OdeProblem.{name}": (lambda v, name=name: _ode(**{name: v}))
        for name in ("t0", "x10", "x20")},
