@@ -10,8 +10,9 @@ computes its rows and the reference values ``--check`` compares against.
 Shared flags: ``--json`` for machine-readable output, ``--check`` to
 compare against the embedded reference values, ``--precision`` for the
 number of displayed digits.  Exit codes: 0 success, 1 validation error,
-2 numerical failure (including a failed ``--check``), and from
-``python -m dualnum`` 3 when standard output is a closed pipe.
+2 numerical failure (including a failed ``--check``), and from a process
+(``python -m dualnum`` or the ``dualnum`` script, both :func:`run`) 3
+when standard output is a closed pipe.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
                     Optional, Sequence, Tuple)
@@ -326,3 +328,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _emit(rows, checks, args)
     return 0 if all(c["pass"] for c in checks) else 2
 
+
+def run() -> int:
+    """:func:`main` on ``sys.argv`` for a process of its own: a closed
+    stdout pipe gives exit code 3 and no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:  # and the flush at exit would raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 3
+    return code

@@ -131,7 +131,19 @@ class Dual3(_Record):
         return _mk(q0, q1, (self.f2 - 2.0 * q1 * b1 - q0 * b2) / b0)
 
     def __rtruediv__(self, other) -> "Dual3":
-        return _as_dual(other) / self
+        # __truediv__'s expressions for the numerator {c, 0, 0}.  As in
+        # Dual3(c) / d, c is read first and raises if inf or NaN, and only
+        # then is the divisor checked.
+        c = _scalar(other)
+        if c - c != 0.0:  # inf or NaN
+            _mk(c, 0.0, 0.0)
+        b0, b1 = self.f0, self.f1
+        if b0 == 0.0:
+            raise DomainError(
+                "dual division by zero: denominator real part is 0.0")
+        q0 = c / b0
+        q1 = (0.0 - q0 * b1) / b0
+        return _mk(q0, q1, (0.0 - 2.0 * q1 * b1 - q0 * self.f2) / b0)
 
     def __neg__(self) -> "Dual3":
         # the jet of -x: f2 is 0*g1*g1 - g2, +0.0 when g2 is zero

@@ -4,7 +4,9 @@ Nothing here shares a code path with the dual arithmetic: derivatives
 come from central differences, from polynomial evaluation on a Jordan
 block, from the two-sided theta/phi recurrences for a tridiagonal
 inverse, or from the closed-form inverse of the spline's knot-slope
-matrix.  The test suite plays these against the main modules.
+matrix.  The one exception, :func:`loop_closure`, checks a float kernel
+against the ``Dual3`` operators it transcribes.  The test suite plays
+these against the main modules.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .core import Dual3, cos, sin
 from .errors import NumericalError, ValidationError, check_finite
 
 _EPS = float(np.finfo(float).eps)
@@ -173,3 +176,37 @@ def tinv_entry(n: int, s: int, k: int) -> float:
     )
     return sign * lead * bracket / denom
 
+
+def loop_closure(params, phi: Dual3, theta: Dual3) -> Dual3:
+    """The RRRCR loop-closure residual of ``params``, a
+    :class:`~dualnum.rootfind.MechanismParams`, in ``Dual3`` operators.
+
+    ``MechanismParams.loop_closure`` runs these operators' expressions on
+    floats; this form is the oracle it matches bit for bit.
+    """
+    L, ell, a, R = params.L, params.l, params.a, params.R
+    s1, s2, c1, c2 = params.s1, params.s2, params.c1, params.c2
+    be = params.b - params.e
+    sth, cth = sin(theta), cos(theta)
+    sph, cph = sin(phi), cos(phi)
+    return (
+        a * a * c1 * c1 * c2 * c2
+        - 2.0 * a * c1 * c2 * c2 * s1 * be
+        - 2.0 * a * c1 * c1 * c2 * c2 * L * cth
+        + 2.0 * a * c1 * c2 * c2 * R * cph
+        - c1 * c1 * c2 * c2 * be * be
+        + 2.0 * c1 * c2 * c2 * L * s1 * be * cth
+        + 2.0 * c1 * c2 * L * s2 * be * sth
+        - 2.0 * c1 * R * s2 * be * sph
+        - 2.0 * R * s1 * be * cph
+        + be * be
+        - c1 * c1 * c2 * c2 * ell * ell
+        + c1 * c1 * c2 * c2 * L * L
+        + c1 * c1 * c2 * c2 * R * R * cph * cph
+        - 2.0 * c1 * c1 * c2 * L * R * sth * sph
+        - c1 * c1 * R * R * (1.0 - 2.0 * sph * sph)
+        - 2.0 * c1 * c2 * c2 * L * R * cth * cph
+        - 2.0 * c1 * c2 * L * R * s1 * s2 * sth * cph
+        + 2.0 * c1 * R * R * s1 * s2 * sph * cph
+        + R * R * cph * cph
+    )

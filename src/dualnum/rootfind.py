@@ -28,6 +28,13 @@ first pass lands ``f1`` on ``-F_x/F_u`` and the second lands ``f2`` on
 ``-(F_uu u'^2 + 2 F_ux u' + F_xx)/F_u`` exactly (up to round-off),
 whatever their starting values, so derivatives stay correct even when a
 residual tolerance exits the real loop early.
+
+The bundled RRRCR residual, :meth:`MechanismParams.loop_closure`, is a
+float kernel: it evaluates its operator expression on float triples by
+the ``Dual3`` operators' own formulas, so it builds 5 ``Dual3``s (four
+``sin``/``cos`` jets and the result) where the operator form builds 43.
+That form, its oracle, is :func:`dualnum.reference.loop_closure`, and
+the tests hold the kernel to its bits.
 """
 
 from __future__ import annotations
@@ -198,8 +205,10 @@ class MechanismParams(_Record):
     :class:`~dualnum.errors.ValidationError`.
     """
 
-    __slots__ = __match_args__ = ("L", "l", "a", "R", "s1", "s2", "b", "e",
-                                  "c1", "c2")
+    __match_args__ = ("L", "l", "a", "R", "s1", "s2", "b", "e", "c1", "c2")
+    # _k holds the residual's 18 constant factors as triples.  __init__
+    # makes them, so a copy or pickle makes them again; they are no field.
+    __slots__ = __match_args__ + ("_k",)
 
     def __init__(self, L: float, l: float, a: float, R: float, s1: float,
                  s2: float, b: float, e: float, c1: float | None = None,
@@ -217,33 +226,83 @@ class MechanismParams(_Record):
                 )
             values.append(c)
         self._set(*values)
+        L, ell, a, R, s1, s2, b, e, c1, c2 = values
+        be = b - e
+        # Each built left to right, as reference.loop_closure's operator
+        # expression forms it, so the bits are the same; as an operand
+        # each is the dual {k, 0, 0}.
+        object.__setattr__(self, "_k", tuple((k, 0.0, 0.0) for k in (
+            a * a * c1 * c1 * c2 * c2 - 2.0 * a * c1 * c2 * c2 * s1 * be,
+            2.0 * a * c1 * c1 * c2 * c2 * L,
+            2.0 * a * c1 * c2 * c2 * R,
+            c1 * c1 * c2 * c2 * be * be,
+            2.0 * c1 * c2 * c2 * L * s1 * be,
+            2.0 * c1 * c2 * L * s2 * be,
+            2.0 * c1 * R * s2 * be,
+            2.0 * R * s1 * be,
+            be * be,
+            c1 * c1 * c2 * c2 * ell * ell,
+            c1 * c1 * c2 * c2 * L * L,
+            c1 * c1 * c2 * c2 * R * R,
+            2.0 * c1 * c1 * c2 * L * R,
+            c1 * c1 * R * R,
+            2.0 * c1 * c2 * c2 * L * R,
+            2.0 * c1 * c2 * L * R * s1 * s2,
+            2.0 * c1 * R * R * s1 * s2,
+            R * R,
+        )))
 
     def loop_closure(self, phi: Dual3, theta: Dual3) -> Dual3:
-        """Loop-closure residual; zero relates output angle phi to input theta."""
-        L, ell, a, R = self.L, self.l, self.a, self.R
-        s1, s2, c1, c2 = self.s1, self.s2, self.c1, self.c2
-        be = self.b - self.e
-        sth, cth = sin(theta), cos(theta)
-        sph, cph = sin(phi), cos(phi)
-        return (
-            a * a * c1 * c1 * c2 * c2
-            - 2.0 * a * c1 * c2 * c2 * s1 * be
-            - 2.0 * a * c1 * c1 * c2 * c2 * L * cth
-            + 2.0 * a * c1 * c2 * c2 * R * cph
-            - c1 * c1 * c2 * c2 * be * be
-            + 2.0 * c1 * c2 * c2 * L * s1 * be * cth
-            + 2.0 * c1 * c2 * L * s2 * be * sth
-            - 2.0 * c1 * R * s2 * be * sph
-            - 2.0 * R * s1 * be * cph
-            + be * be
-            - c1 * c1 * c2 * c2 * ell * ell
-            + c1 * c1 * c2 * c2 * L * L
-            + c1 * c1 * c2 * c2 * R * R * cph * cph
-            - 2.0 * c1 * c1 * c2 * L * R * sth * sph
-            - c1 * c1 * R * R * (1.0 - 2.0 * sph * sph)
-            - 2.0 * c1 * c2 * c2 * L * R * cth * cph
-            - 2.0 * c1 * c2 * L * R * s1 * s2 * sth * cph
-            + 2.0 * c1 * R * R * s1 * s2 * sph * cph
-            + R * R * cph * cph
-        )
+        """Loop-closure residual; zero relates output angle phi to input theta.
 
+        The operator expression of ``reference.loop_closure``, a
+        polynomial in the sines and cosines of the two angles, evaluated
+        on float triples by the ``Dual3`` operators' own formulas, in the
+        operators' order, so the bits are theirs; the four jets come from
+        ``sin`` and ``cos``.  Only ``+ - *`` follow them, so an inf or NaN
+        on the way reaches a final component, where the one ``_mk``
+        raises ``DomainError`` as the operators would.
+        """
+        # kN is term N's constant factor; k0 is terms 1 and 2, a number
+        (k0, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16,
+         k17, k18, k19) = self._k
+        st, ct, sp, cp = ((j.f0, j.f1, j.f2) for j in (
+            sin(theta), cos(theta), sin(phi), cos(phi)))
+        # k * jet is jet.__mul__(k): _mul(jet, k)
+        r = _sub(k0, _mul(ct, k3))
+        r = _add(r, _mul(cp, k4))
+        r = _sub(r, k5)
+        r = _add(r, _mul(ct, k6))
+        r = _add(r, _mul(st, k7))
+        r = _sub(r, _mul(sp, k8))
+        r = _sub(r, _mul(cp, k9))
+        r = _add(r, k10)
+        r = _sub(r, k11)
+        r = _add(r, k12)
+        r = _add(r, _mul(_mul(cp, k13), cp))
+        r = _sub(r, _mul(_mul(st, k14), sp))
+        r = _sub(r, _mul(_sub(_ONE, _mul(_mul(sp, _TWO), sp)), k15))
+        r = _sub(r, _mul(_mul(ct, k16), cp))
+        r = _sub(r, _mul(_mul(st, k17), cp))
+        r = _add(r, _mul(_mul(sp, k18), cp))
+        r = _add(r, _mul(_mul(cp, k19), cp))
+        return _mk(*r)
+
+
+# The Dual3 operators' component formulas on float triples, for
+# loop_closure: a number c enters as (c, 0.0, 0.0), as in the operators.
+_ONE, _TWO = (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    return a[0] + b[0], a[1] + b[1], a[2] + b[2]
+
+
+def _sub(a: tuple, b: tuple) -> tuple:
+    return a[0] - b[0], a[1] - b[1], a[2] - b[2]
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a0 * b0, a1 * b0 + a0 * b1, a2 * b0 + 2.0 * a1 * b1 + a0 * b2

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,15 +119,18 @@ class TestExitCodes:
     def test_closed_stdout_is_three(self):
         # The reader has gone: every write to a pipe whose read end is
         # closed fails with EPIPE.  No traceback, and a code of its own.
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "dualnum", "duffing", "--json"],
-                env=fresh_env(), stdout=write_end, stderr=subprocess.PIPE)
-        finally:
-            os.close(write_end)
-        assert (proc.returncode, proc.stderr) == (3, b"")
+        assert run_to_closed_pipe(["-m", "dualnum", "duffing",
+                                   "--json"]) == (3, b"")
+
+    def test_console_script_closed_stdout_is_three(self):
+        # The dualnum script that pip generates from pyproject.toml imports
+        # the entry point's function and exits with what it returns.
+        module, func = re.search(r'^dualnum = "([\w.]+):(\w+)"$',
+                                 PYPROJECT.read_text(), re.M).groups()
+        script = (f"import sys\nfrom {module} import {func}\n"
+                  f"sys.exit({func}())")
+        assert run_to_closed_pipe(["-c", script, "duffing",
+                                   "--json"]) == (3, b"")
 
     def test_bad_precision_is_one(self, capsys):
         code, _, _ = run(capsys, "spline", "--precision", "0")
@@ -182,6 +186,7 @@ class TestJsonOutput:
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 SRC = str(Path(dualnum.__file__).parent.parent)
+PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 
 GOLDEN_JSON = [
@@ -217,6 +222,19 @@ GOLDEN_CHECKED = [
     ("duffing-precision-7.check.txt",
      ["duffing", "--precision", "7"], 0),
 ]
+
+
+def run_to_closed_pipe(args):
+    """A new interpreter's exit code and stderr with stdout a pipe whose
+    read end is closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, *args], env=fresh_env(),
+                              stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr
 
 
 def fresh_env():

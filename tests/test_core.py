@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import pickle
@@ -206,6 +207,28 @@ class TestScalarOperands:
         assert got == want
         assert [math.copysign(1.0, v) for v in got] == [
             math.copysign(1.0, v) for v in want]
+
+    # c / d runs __truediv__'s expressions for {c, 0, 0} on floats: every
+    # pairing of these values, signed zeros and zero divisors included,
+    # gives the bits or the exception of Dual3(c) / d.
+    def test_reflected_division_matches_wrapped_constant(self):
+        values = [0.0, -0.0, 5e-324, 1.0, -1.5, 1e200, -MAX]
+        for c in values:
+            for f0, f1, f2 in itertools.product(values, repeat=3):
+                d = Dual3(f0, f1, f2)
+                assert same_outcome(outcome(operator.truediv, c, d),
+                                    outcome(operator.truediv, Dual3(c), d))
+
+    def test_reflected_division_reads_its_operand_first(self):
+        zero = Dual3(-0.0, 1.0, 0.0)
+        with pytest.raises(TypeError, match="cannot interpret"):
+            "1" / zero
+        with pytest.raises(DomainError, match="non-finite component"):
+            inf / zero
+        with pytest.raises(DomainError, match="NaN component"):
+            nan / zero
+        with pytest.raises(DomainError, match="real part is 0.0"):
+            1.0 / zero
 
     @pytest.mark.parametrize("build", [
         lambda d: d + inf, lambda d: inf - d, lambda d: d * inf,
