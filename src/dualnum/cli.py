@@ -18,12 +18,11 @@ when standard output is a closed pipe.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
 import os
 import sys
-from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
-                    Optional, Sequence, Tuple)
 
 from . import fixtures
 from .core import Dual3, constant, sin, variable
@@ -33,14 +32,6 @@ from .rootfind import RootConfig, find_root
 
 # The spline subcommands import dualnum.spline when they run (no numpy up
 # to 96 knots), and duffing dualnum.ode (with dataclasses).
-if TYPE_CHECKING:
-    from .spline import SplineData
-
-# Labelled output rows, in display order.
-Rows = List[Tuple[str, Dual3]]
-# label -> (wanted components, atol, rtol); a row passes a component when
-# |got - want| <= atol + rtol * |want|.
-Wanted = Dict[str, Tuple[Tuple[float, ...], float, float]]
 
 _FIELDS = ("value", "first", "second")
 
@@ -50,42 +41,42 @@ _RESIDUAL_TOL = 1e-9
 
 # -- CSV ingestion -------------------------------------------------------
 
-def read_xy_csv(path: str) -> SplineData:
+def read_xy_csv(path: str) -> "SplineData":
     """Two numeric columns, comma or whitespace separated, optionally one
     header line.  Rows must already be sorted by strictly increasing x."""
     from .spline import SplineData
 
     xs, ys = [], []
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
+    try:  # utf-8-sig drops the byte-order mark some editors write first
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-    with handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected two columns, got {len(parts)}"
-                )
-            try:
-                x, y = float(parts[0]), float(parts[1])
-            except ValueError:
-                if not xs and lineno == 1:
-                    continue  # header line
-                raise ValidationError(
-                    f"{path}:{lineno}: cannot parse numbers from {line!r}"
-                ) from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValidationError(f"{path}:{lineno}: data points must "
-                                      f"be finite, got {line!r}")
-            if xs and x <= xs[-1]:
-                raise ValidationError(f"{path}:{lineno}: x values must be "
-                                      "strictly increasing (sort the rows)")
-            xs.append(x)
-            ys.append(y)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.replace(",", " ").split()
+        if len(parts) != 2:
+            raise ValidationError(
+                f"{path}:{lineno}: expected two columns, got {len(parts)}"
+            )
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError:
+            if not xs and lineno == 1:
+                continue  # header line
+            raise ValidationError(
+                f"{path}:{lineno}: cannot parse numbers from {line!r}"
+            ) from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValidationError(f"{path}:{lineno}: data points must "
+                                  f"be finite, got {line!r}")
+        if xs and x <= xs[-1]:
+            raise ValidationError(f"{path}:{lineno}: x values must be "
+                                  "strictly increasing (sort the rows)")
+        xs.append(x)
+        ys.append(y)
     if len(xs) < 2:
         raise ValidationError(f"{path}: need at least 2 data rows")
     return SplineData(xs, ys)
@@ -93,7 +84,7 @@ def read_xy_csv(path: str) -> SplineData:
 
 # -- problems ------------------------------------------------------------
 
-def _solve(cfg: RootConfig, F, g: Dual3) -> Tuple[Dual3, float]:
+def _solve(cfg: RootConfig, F, g: Dual3) -> tuple[Dual3, float]:
     """``find_root``, whose fixed-count loop has no residual tolerance,
     then :class:`NonConvergenceError` if ``|F|`` at the root exceeds
     ``_RESIDUAL_TOL``.  Returns the root and ``F`` at its real parts."""
@@ -106,7 +97,7 @@ def _solve(cfg: RootConfig, F, g: Dual3) -> Tuple[Dual3, float]:
     return u, residual
 
 
-def _nr_example1(args) -> Rows:
+def _nr_example1(args) -> list[tuple[str, Dual3]]:
     cfg = RootConfig(u0=fixtures.NR_EXAMPLE1_U0,
                      max_iters=fixtures.NR_EXAMPLE1_ITERS, tol=0.0)
     F = fixtures.nr_example1_equation
@@ -116,7 +107,7 @@ def _nr_example1(args) -> Rows:
             ("g2", _solve(cfg, F, sin(xd) + xd * xd)[0])]
 
 
-def _mechanism(args) -> Rows:
+def _mechanism(args) -> list[tuple[str, Dual3]]:
     F = fixtures.MECHANISM_PARAMS.loop_closure
     cfg = RootConfig(u0=fixtures.MECHANISM_PHI0, max_iters=100, tol=0.0)
     xd = variable(args.x0)
@@ -127,7 +118,7 @@ def _mechanism(args) -> Rows:
             ("phi(f(x0))", _solve(cfg, F, 2.0 * sin(xd) * sin(xd))[0])]
 
 
-def _spline(args) -> Rows:
+def _spline(args) -> list[tuple[str, Dual3]]:
     from .spline import build_spline, eval_dual
 
     data = read_xy_csv(args.csv) if args.csv else fixtures.ln_sample_data()
@@ -138,7 +129,7 @@ def _spline(args) -> Rows:
             ("g", eval_dual(model, xd * sin(xd) * sin(xd)))]
 
 
-def _diffusivity(args) -> Rows:
+def _diffusivity(args) -> list[tuple[str, Dual3]]:
     from .spline import (build_spline, diffusivity, eval_dual,
                          find_derivative_root)
 
@@ -160,7 +151,7 @@ def _diffusivity(args) -> Rows:
             ("alpha_s", Dual3(alpha))]
 
 
-def _duffing(args) -> Rows:
+def _duffing(args) -> list[tuple[str, Dual3]]:
     from .ode import duffing_problem, rk4dual
 
     problem = duffing_problem(fixtures.DUFFING_STEPS)
@@ -170,22 +161,19 @@ def _duffing(args) -> Rows:
             ("g(f(t))", sin(f))]
 
 
-def _within(expected: dict, atol: float, rtol: float = 0.0) -> Wanted:
+# label -> (wanted components, atol, rtol); a row passes a component when
+# |got - want| <= atol + rtol * |want|.
+def _within(expected: dict, atol: float, rtol: float = 0.0) -> dict:
     return {label: (want, atol, rtol) for label, want in expected.items()}
 
 
-class Problem(NamedTuple):
-    """One subcommand: help line, argparse options, rows, ``--check`` refs."""
-
-    help: str
-    options: Tuple[Tuple[str, dict], ...]
-    run: Callable[[argparse.Namespace], Rows]
-    wanted: Wanted
-
+# One subcommand: help line, (flag, argparse options) pairs, the function
+# from parsed arguments to labelled rows, and the --check references.
+Problem = collections.namedtuple("Problem", "help options run wanted")
 
 _ABS = fixtures.CHECK_ABS_TOL
 
-PROBLEMS: Dict[str, Problem] = {
+PROBLEMS: dict[str, Problem] = {
     "nr-example1": Problem(
         "implicit-function derivatives for the bundled trigonometric "
         "equation",
@@ -244,7 +232,7 @@ PROBLEMS: Dict[str, Problem] = {
 
 # -- checks and output ---------------------------------------------------
 
-def _check(rows: Rows, wanted: Wanted) -> List[dict]:
+def _check(rows: list[tuple[str, Dual3]], wanted: dict) -> list[dict]:
     checks = []
     for label, d in rows:
         if label not in wanted:
@@ -257,7 +245,7 @@ def _check(rows: Rows, wanted: Wanted) -> List[dict]:
     return checks
 
 
-def _emit(rows: Rows, checks: List[dict], args) -> None:
+def _emit(rows: list[tuple[str, Dual3]], checks: list[dict], args) -> None:
     if args.json:
         builtin = "csv" in vars(args) and not args.csv
         provenance = args.command + ("-builtin" if builtin else "")
@@ -305,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: "Sequence[str] | None" = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

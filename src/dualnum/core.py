@@ -17,7 +17,8 @@ The whole chain rule lives in one private helper, ``_chain``:
 :func:`compose` applies it to a jet given as a :class:`Dual3`, which is
 also how a user-defined elemental is applied; each built-in elemental
 (``sin`` ... ``sqrt`` and ``abs``) is a plain float function returning
-its jet, and unary minus is the jet ``{-g0, -1, 0}``.
+its jet, and unary minus is the jet ``{-g0, -1, 0}``.  Each operator
+has one formula: a number ``c`` on either side of it is ``Dual3(c)``.
 
 Every :class:`Dual3` is built by the internal ``_mk``, which raises
 :class:`~dualnum.errors.DomainError` for an infinite or NaN component:
@@ -31,11 +32,8 @@ need check its operands: they are finite by construction.
 from __future__ import annotations
 
 import math
-from typing import Callable, Union
 
 from .errors import DomainError, _Record, _complex, check_finite
-
-Number = Union[int, float]
 
 
 def _scalar(value) -> float:
@@ -79,7 +77,7 @@ class Dual3(_Record):
     f1: float
     f2: float
 
-    def __new__(cls, f0: Number, f1: Number = 0.0, f2: Number = 0.0):
+    def __new__(cls, f0: float, f1: float = 0.0, f2: float = 0.0):
         return _mk(_scalar(f0), _scalar(f1), _scalar(f2))
 
     def __repr__(self) -> str:
@@ -104,8 +102,7 @@ class Dual3(_Record):
         return _mk(self.f0 - b0, self.f1 - b1, self.f2 - b2)
 
     def __rsub__(self, other) -> "Dual3":
-        c = _scalar(other)
-        return _mk(c - self.f0, 0.0 - self.f1, 0.0 - self.f2)
+        return _as_dual(other) - self
 
     def __mul__(self, other) -> "Dual3":
         if isinstance(other, Dual3):
@@ -131,19 +128,7 @@ class Dual3(_Record):
         return _mk(q0, q1, (self.f2 - 2.0 * q1 * b1 - q0 * b2) / b0)
 
     def __rtruediv__(self, other) -> "Dual3":
-        # __truediv__'s expressions for the numerator {c, 0, 0}.  As in
-        # Dual3(c) / d, c is read first and raises if inf or NaN, and only
-        # then is the divisor checked.
-        c = _scalar(other)
-        if c - c != 0.0:  # inf or NaN
-            _mk(c, 0.0, 0.0)
-        b0, b1 = self.f0, self.f1
-        if b0 == 0.0:
-            raise DomainError(
-                "dual division by zero: denominator real part is 0.0")
-        q0 = c / b0
-        q1 = (0.0 - q0 * b1) / b0
-        return _mk(q0, q1, (0.0 - 2.0 * q1 * b1 - q0 * self.f2) / b0)
+        return _as_dual(other) / self
 
     def __neg__(self) -> "Dual3":
         # the jet of -x: f2 is 0*g1*g1 - g2, +0.0 when g2 is zero
@@ -213,12 +198,12 @@ def _mk(r0: float, r1: float, r2: float) -> Dual3:
     return d
 
 
-def variable(x: Number) -> Dual3:
+def variable(x: float) -> Dual3:
     """Seed ``x`` as the differentiation variable: ``{x, 1, 0}``."""
     return _mk(check_finite("variable seed", x), 1.0, 0.0)
 
 
-def constant(c: Number) -> Dual3:
+def constant(c: float) -> Dual3:
     """Embed a constant: ``{c, 0, 0}``.  Derivatives stay zero forever."""
     return _mk(check_finite("constant", c), 0.0, 0.0)
 
@@ -285,7 +270,7 @@ def _abs(x: float) -> tuple:
     return abs(x), 1.0 if x > 0.0 else -1.0, 0.0
 
 
-def _lift(name: str, jet: Callable[[float], tuple], g: Dual3) -> Dual3:
+def _lift(name: str, jet: "Callable[[float], tuple]", g: Dual3) -> Dual3:
     """Apply an elemental's jet to a dual argument by :func:`_chain`."""
     x = g.f0
     try:

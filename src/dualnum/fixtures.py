@@ -8,13 +8,9 @@ checks compare at 1e-4 absolute.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .core import Dual3, cos, sin
 from .rootfind import MechanismParams
-
-if TYPE_CHECKING:
-    from .spline import SplineData
 
 # -- implicit-function example -----------------------------------------
 
@@ -85,7 +81,7 @@ SPLINE_EXPECTED = {
 }
 
 
-def ln_sample_data() -> SplineData:
+def ln_sample_data() -> "SplineData":
     from .spline import SplineData
     return SplineData(LN_SAMPLE_X, LN_SAMPLE_Y)
 
@@ -102,7 +98,7 @@ def radiometry_peak_frequency() -> float:
     return 9.0 * math.pi * TARGET_DIFFUSIVITY / (64.0 * SAMPLE_THICKNESS)
 
 
-def radiometry_fixture() -> SplineData:
+def radiometry_fixture() -> "SplineData":
     """Synthetic amplitude-vs-frequency curve with one interior maximum.
 
     A quadratic bump: its derivative is linear with one zero, which the

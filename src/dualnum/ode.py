@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
 
 from .core import Dual3, compose
 from .errors import (BlowUpError, DomainError, _Record, check_count,
                      check_finite)
-
-Rhs = Callable[[float, float, float], float]
 
 
 # A dataclass for perfbench's dataclasses.replace; copies check via _Record.
@@ -34,8 +31,8 @@ class OdeProblem(_Record):
     t0: float
     x10: float
     x20: float
-    rhs1: Rhs
-    rhs2: Rhs
+    rhs1: "Callable[[float, float, float], float]"
+    rhs2: "Callable[[float, float, float], float]"
     num_steps: int
 
     def __post_init__(self):
@@ -45,7 +42,7 @@ class OdeProblem(_Record):
         check_count("num_steps", self.num_steps)
 
 
-def rk4(problem: OdeProblem, t_end: float) -> Tuple[float, float]:
+def rk4(problem: OdeProblem, t_end: float) -> tuple[float, float]:
     """Integrate to ``t_end`` in exactly ``num_steps`` uniform steps."""
     t_end = check_finite("t_end", t_end)
     u1, u2 = problem.rhs1, problem.rhs2

@@ -12,7 +12,6 @@ these against the main modules.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -44,7 +43,7 @@ class SingularMatrixError(NumericalError):
     """Matrix inverse requested for a singular matrix."""
 
 
-def central_diff(f: Callable[[float], float], x: float, order: int) -> float:
+def central_diff(f: "Callable[[float], float]", x: float, order: int) -> float:
     """Central finite difference of first or second order at ``x``.
 
     Step sizes balance truncation against cancellation: ``eps**(1/3)``

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Callable
 
 from .core import Dual3, _mk, cos, sin
 from .errors import (
@@ -54,9 +53,6 @@ from .errors import (
     check_count,
     check_finite,
 )
-
-# F~(u~, x~) built from dual operations; must be pure and re-entrant.
-DualBivariate = Callable[[Dual3, Dual3], Dual3]
 
 _SETTLE_PASSES = 2
 
@@ -105,7 +101,9 @@ class RootConfig(_Record):
         self._set(u0, method, max_iters, tol)
 
 
-def find_root(cfg: RootConfig, F: DualBivariate, g: Dual3) -> Dual3:
+# F~(u~, x~) built from dual operations; must be pure and re-entrant.
+def find_root(cfg: RootConfig, F: "Callable[[Dual3, Dual3], Dual3]",
+              g: Dual3) -> Dual3:
     """Solve ``F(u, g.f0) = 0`` by ``cfg.method``; derivatives from ``g``."""
     newton = cfg.method == "newton"
     x_const = _mk(g.f0, 0.0, 0.0)

@@ -48,7 +48,6 @@ import math
 from array import array
 from bisect import bisect_right
 from operator import lt, mul, sub
-from typing import TYPE_CHECKING
 
 from .core import Dual3, _mk
 from .errors import (
@@ -59,9 +58,6 @@ from .errors import (
     _Record,
     check_finite,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 # Largest curve checked, built and searched on plain floats.  Timing all
@@ -224,7 +220,7 @@ def _sweep(r: list) -> list:
     return r
 
 
-def _solve(r: np.ndarray) -> np.ndarray:
+def _solve(r: "np.ndarray") -> "np.ndarray":
     """Solve ``T D = r`` (3 rows or more) by one ``dgttrs`` call, which
     may overwrite ``r``."""
     import numpy as np

@@ -345,6 +345,29 @@ class TestCsvIngestion:
         with pytest.raises(ValidationError, match="2 data rows"):
             read_xy_csv(str(path))
 
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "bare"])
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, header):
+        # Excel's "CSV UTF-8" starts with a BOM: read as text, it made
+        # line 1 unparsable, and a bare first data row was taken for a
+        # header and dropped
+        text = (DATA / "quad.csv").read_text()
+        if not header:
+            text = text.split("\n", 1)[1]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want = run(capsys, "spline", "--csv", str(plain), "--json")
+        assert want[0] == 0
+        assert run(capsys, "spline", "--csv", str(marked), "--json") == want
+
+    def test_non_utf8_text_is_a_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("t/µs,y\n1.0,2.0\n2.0,3.0\n".encode("latin-1"))
+        code, out, err = run(capsys, "spline", "--csv", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert "codec can't decode" in err
+
 
 class TestCommandBehaviour:
     def test_spline_accepts_user_csv(self, capsys, tmp_path):

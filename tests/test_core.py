@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import pickle
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -208,9 +209,8 @@ class TestScalarOperands:
         assert [math.copysign(1.0, v) for v in got] == [
             math.copysign(1.0, v) for v in want]
 
-    # c / d runs __truediv__'s expressions for {c, 0, 0} on floats: every
-    # pairing of these values, signed zeros and zero divisors included,
-    # gives the bits or the exception of Dual3(c) / d.
+    # c / d forwards to Dual3(c) / d: every pairing of these values,
+    # signed zeros and zero divisors included, gives its bits or exception.
     def test_reflected_division_matches_wrapped_constant(self):
         values = [0.0, -0.0, 5e-324, 1.0, -1.5, 1e200, -MAX]
         for c in values:
@@ -219,16 +219,23 @@ class TestScalarOperands:
                 assert same_outcome(outcome(operator.truediv, c, d),
                                     outcome(operator.truediv, Dual3(c), d))
 
-    def test_reflected_division_reads_its_operand_first(self):
+    # c - d and c / d build Dual3(c) before they read d, so a bad c is
+    # named as that Dual3 whatever d holds, even a zero divisor.
+    @pytest.mark.parametrize("op, at_zero", [
+        (operator.sub, Dual3(1.0, -1.0, 0.0)),
+        (operator.truediv, DomainError),
+    ], ids=["c-d", "c/d"])
+    def test_reflected_operator_reads_its_operand_first(self, op, at_zero):
         zero = Dual3(-0.0, 1.0, 0.0)
         with pytest.raises(TypeError, match="cannot interpret"):
-            "1" / zero
-        with pytest.raises(DomainError, match="non-finite component"):
-            inf / zero
-        with pytest.raises(DomainError, match="NaN component"):
-            nan / zero
-        with pytest.raises(DomainError, match="real part is 0.0"):
-            1.0 / zero
+            op("1", zero)
+        with pytest.raises(DomainError, match=re.escape(
+                "non-finite component in Dual3(inf, 0.0, 0.0)")):
+            op(inf, zero)
+        with pytest.raises(DomainError, match=re.escape(
+                "NaN component in Dual3(nan, 0.0, 0.0)")):
+            op(nan, zero)
+        assert same_outcome(outcome(op, 1.0, zero), at_zero)
 
     @pytest.mark.parametrize("build", [
         lambda d: d + inf, lambda d: inf - d, lambda d: d * inf,

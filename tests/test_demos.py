@@ -68,14 +68,14 @@ def test_readme_api_sketch_names_resolve():
     assert [name for name in names if not resolves(name)] == []
 
 
-def fresh_python(code):
-    """stdout of ``python -c code`` in a new interpreter that imports
-    this checkout's dualnum."""
+def fresh_python(code, *flags):
+    """stdout of ``python *flags -c code`` in a new interpreter that
+    imports this checkout's dualnum."""
     src = str(Path(dualnum.__file__).parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
                           capture_output=True, text=True, check=True).stdout
 
 
@@ -163,6 +163,24 @@ def test_subcommands_but_duffing_leave_dataclasses_unloaded(tmp_path):
         f"    codes = [cli.main(argv + ['--json']) for argv in {runs!r}]\n"
         "print(codes, sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     assert out == "[0, 0, 0, 0, 0, 0, 0] []\n"
+
+
+def test_import_and_subcommands_leave_typing_unloaded():
+    # no dualnum module imports typing, for annotations or otherwise.  Run
+    # without site, since a .pth file there may import typing itself.
+    runs = [[name, "--check"] for name in ("nr-example1", "mechanism",
+                                           "spline", "diffusivity",
+                                           "duffing")]
+    runs += [["mechanism", "--fn", "identity", "--check"]]
+    out = fresh_python(
+        "import sys, dualnum\n"
+        "imported = 'typing' in sys.modules\n"
+        "import contextlib, io\n"
+        "from dualnum import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv + ['--json']) for argv in {runs!r}]\n"
+        "print(imported, codes, 'typing' in sys.modules)", "-S")
+    assert out == "False [0, 0, 0, 0, 0, 0] False\n"
 
 
 def test_ode_names_load_on_first_use():
