@@ -26,8 +26,8 @@ import sys
 
 from . import fixtures
 from .core import Dual3, constant, sin, variable
-from .errors import (NonConvergenceError, NumericalError, ValidationError,
-                     check_finite)
+from .errors import (NonConvergenceError, NumericalError, OutOfRangeError,
+                     ValidationError, check_finite)
 from .rootfind import RootConfig, find_root
 
 # The spline subcommands import dualnum.spline when they run (no numpy up
@@ -125,8 +125,12 @@ def _spline(args) -> list[tuple[str, Dual3]]:
     model = build_spline(data)
     xd = variable(args.at)
     y = eval_dual(model, xd)
-    return [("y", y), ("f", xd * sin(y) * sin(y)),
-            ("g", eval_dual(model, xd * sin(xd) * sin(xd)))]
+    try:  # inside the data, x sin^2 x may not be: name the point given
+        g = eval_dual(model, xd * sin(xd) * sin(xd))
+    except OutOfRangeError as exc:
+        raise OutOfRangeError(f"row g reads the spline at x sin^2 x; with "
+                              f"--at {args.at}, {exc}") from None
+    return [("y", y), ("f", xd * sin(y) * sin(y)), ("g", g)]
 
 
 def _diffusivity(args) -> list[tuple[str, Dual3]]:

@@ -14,8 +14,9 @@ is halved until it lowers ``|F|``, and a solve where no halving does so
 (a positive local minimum of ``|F|``, such as a mechanism angle that
 cannot assemble) raises :class:`~dualnum.errors.NonConvergenceError` at
 once.  Shorter steps are taken in full: at the rounding level of a root
-no step need lower ``|F|``.  Where ``2 F_u^2 - F F_uu < 0`` the Halley
-step is no descent direction, and the Newton step is taken instead.
+no step need lower ``|F|``.  Each candidate iterate is evaluated once.
+Where ``2 F_u^2 - F F_uu <= 0`` the Halley step is no descent direction,
+and the Newton step is taken instead.
 Iterates are built by ``core._mk``, so one that overflows to inf, or
 one at which ``F`` fails, raises :class:`~dualnum.errors.DivergenceError`.
 The derivative components are then settled by exactly two dual-only
@@ -131,32 +132,25 @@ def find_root(cfg: RootConfig, F: "Callable[[Dual3, Dual3], Dual3]",
             step = resid / fu
             if not newton:
                 denom = 2.0 * fu * fu - resid * fd.f2
-                if denom == 0.0:
-                    raise SingularDerivativeError(
-                        f"Halley denominator vanished at iterate {k} (u={u})"
-                    )
                 if denom > 0.0:  # else Halley's step is no descent direction
                     step = 2.0 * resid * fu / denom
-            u_next = u - step
             # max(1, |u|) inline: the builtin call costs more than the test
             damped = abs(step) > _SQRT_EPS * (abs(u) if abs(u) > 1.0 else 1.0)
-            if damped:
-                # The first of u - step, u - step/2, ... that lowers |F|
-                # is the next iterate, and its evaluation serves it.
+            # The next iterate: u - step if undamped, else the first of
+            # u - step, u - step/2, ... that lowers |F|.
+            for _ in range(_MAX_HALVINGS + 1 if damped else 1):
+                u_next = u - step
                 fd = F(_mk(u_next, 1.0, 0.0), x_const)
-                halvings = 0
-                while not abs(fd.f0) < abs(resid):
-                    if halvings == _MAX_HALVINGS:
-                        raise NonConvergenceError(
-                            f"stalled at iterate {k}: no step of up to "
-                            f"{_MAX_HALVINGS} halvings lowers |F| = "
-                            f"{abs(resid):.3e} (u={u})",
-                            residual=abs(resid),
-                        )
-                    halvings += 1
-                    step *= 0.5
-                    u_next = u - step
-                    fd = F(_mk(u_next, 1.0, 0.0), x_const)
+                if not damped or abs(fd.f0) < abs(resid):
+                    break
+                step *= 0.5
+            else:
+                raise NonConvergenceError(
+                    f"stalled at iterate {k}: no step of up to "
+                    f"{_MAX_HALVINGS} halvings lowers |F| = "
+                    f"{abs(resid):.3e} (u={u})",
+                    residual=abs(resid),
+                )
             u = u_next
             j = seen.get(_bits(u))
             if j is not None:
@@ -167,8 +161,6 @@ def find_root(cfg: RootConfig, F: "Callable[[Dual3, Dual3], Dual3]",
                 u, fd = trail[j + (cfg.max_iters - j) % (k + 1 - j)]
                 resid = fd.f0
                 break
-            if not damped:
-                fd = F(_mk(u, 1.0, 0.0), x_const)
     except DomainError as exc:
         # Raised by _mk at a non-finite candidate u_next, or by F there.
         raise DivergenceError(

@@ -28,7 +28,7 @@ for bit; the sweep itself rounds the same on every platform.
 Both paths keep one thing: read-only float64 buffers, which evaluation
 and the search index through memoryviews that return plain floats.
 ``data.x``, ``data.y`` and the model's ``slopes`` and ``a`` ... ``d`` are
-read-only float64 ndarrays over those buffers, made on first access.
+read-only float64 ndarrays over those buffers, made at each access.
 ``import dualnum`` loads neither this module nor numpy; numpy loads with
 the first spline above the cutoff or the first ndarray attribute read,
 and scipy with the first build above the cutoff.
@@ -109,26 +109,21 @@ def _to_floats(v):
     return a.astype(float, copy=False)
 
 
-def _ndarray_fields(*names):
-    """A ``__getattr__`` for the ndarray attributes ``names``: each is a
-    read-only float64 array over the record's ``_views`` entry at the
-    same position, made on first access (numpy loads then) and kept."""
-    def __getattr__(self, name):
-        if name not in names:
-            raise AttributeError(f"{type(self).__name__!r} object has no "
-                                 f"attribute {name!r}")
+def _ndarray(i: int) -> property:
+    """A read-only float64 array over the record's ``_views[i]``, made at
+    each access (numpy loads then)."""
+    def get(self):
         import numpy as np
 
-        arr = np.frombuffer(self._views[names.index(name)], dtype=float)
-        object.__setattr__(self, name, arr)
-        return arr
-    return __getattr__
+        return np.frombuffer(self._views[i], dtype=float)
+    return property(get)
 
 
 class SplineData(_Record):
     """Validated interpolation data: finite, strictly increasing x."""
 
     __match_args__ = ("x", "y")
+    __slots__ = ("_views",)
     __eq__, __hash__ = object.__eq__, object.__hash__  # by identity
 
     def __init__(self, x, y):
@@ -162,7 +157,7 @@ class SplineData(_Record):
         object.__setattr__(self, "_views", (memoryview(x).toreadonly(),
                                             memoryview(y).toreadonly()))
 
-    __getattr__ = _ndarray_fields("x", "y")
+    x, y = _ndarray(0), _ndarray(1)
 
     def __len__(self) -> int:
         return len(self._views[0])
@@ -181,12 +176,13 @@ class SplineModel(_Record):
     """
 
     __match_args__ = ("data", "slopes", "a", "b", "c", "d")
+    __slots__ = ("data", "_views")
     __eq__, __hash__ = object.__eq__, object.__hash__  # by identity
 
     def __new__(cls, *args, **kwargs):
         raise TypeError("a SplineModel is made only by build_spline(data)")
 
-    __getattr__ = _ndarray_fields("a", "b", "c", "d", "slopes")
+    a, b, c, d, slopes = map(_ndarray, range(5))
 
     def __reduce__(self):
         return (build_spline, (self.data,))
@@ -300,8 +296,9 @@ def _model(data: SplineData, slopes, c, d) -> SplineModel:
     # Filled as _mk fills a Dual3; _views is no field, so repr leaves it
     # out.  Indexing a memoryview gives a plain float.
     model = object.__new__(SplineModel)
-    model.__dict__.update(data=data,
-                          _views=(y[:-1], slopes[:-1], c, d, slopes, x))
+    object.__setattr__(model, "data", data)
+    object.__setattr__(model, "_views",
+                       (y[:-1], slopes[:-1], c, d, slopes, x))
     return model
 
 

@@ -113,8 +113,31 @@ class TestExitCodes:
         assert "outside data range" in err
 
     def test_out_of_range_at_is_one(self, capsys):
-        code, _, err = run(capsys, "spline", "--at", "99.0")
-        assert code == 1
+        # row y fails first, and its message names the point given
+        for at in ("0.5", "99.0"):
+            code, _, err = run(capsys, "spline", "--at", at)
+            assert (code, err) == (1, f"error: x = {at} outside data range "
+                                      f"[1.0, 3.0] (no extrapolation)\n")
+
+    @pytest.mark.parametrize("rows,at,arg", [
+        (None, "1.05", "0.7900442049149253"),
+        ([(1.0, 0.0), (2.0, 0.7), (3.0, 1.1), (4.0, 1.4)], "2.5",
+         "0.8954222681709673"),
+    ])
+    def test_out_of_range_composition_names_the_given_point(
+            self, capsys, tmp_path, rows, at, arg):
+        # --at is inside the data, but row g reads the spline at
+        # x sin^2 x, which is not: the error names both
+        csv = []
+        if rows:
+            path = tmp_path / "data.csv"
+            path.write_text("".join(f"{x},{y}\n" for x, y in rows))
+            csv = ["--csv", str(path)]
+        code, out, err = run(capsys, "spline", *csv, "--at", at)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: row g reads the spline at x sin^2 x; "
+                              f"with --at {at}, x = {arg} outside data "
+                              f"range [1.0, ")
 
     def test_closed_stdout_is_three(self):
         # The reader has gone: every write to a pipe whose read end is

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from dualnum import (
+    Dual3,
     MechanismParams,
     RootConfig,
     SplineData,
@@ -112,6 +113,14 @@ class TestEveryRecord:
         assert calls
         assert type(twin) is type(record)
         assert fields(twin) == fields(record)
+
+
+@pytest.mark.parametrize("kind", ["Dual3", "RootConfig", "MechanismParams",
+                                  "SplineData", "SplineModel"])
+def test_records_keep_no_instance_dict(kind):
+    # slots only; OdeProblem is still a dataclass, with a __dict__
+    record = Dual3(1.0, 2.0, 3.0) if kind == "Dual3" else MAKE[kind]()
+    assert not hasattr(record, "__dict__")
 
 
 class TestValueEquality:

@@ -37,6 +37,10 @@ def square_eq(u, x):
     return u * u - x
 
 
+def cubic_plus_linear_eq(u, x):
+    return u ** 3 + 3.0 * u - x
+
+
 def sine_eq(u, x):
     return u - sin(x)
 
@@ -203,6 +207,14 @@ class TestHalley:
         assert np.allclose((u.f0, u.f1, u.f2), (2.0, 1 / 12, -1 / 144),
                            atol=1e-12)
 
+    def test_zero_denominator_takes_the_newton_step(self):
+        # at u = 1, x = -8: F = 12, F' = 6, F'' = 6, so 2 F'^2 - F F'' = 0
+        u = find_root(cfg(1.0, method="halley"), cubic_plus_linear_eq,
+                      variable(-8.0))
+        assert u.f0 == pytest.approx(-1.5127453266183286, abs=1e-12)
+        assert u.f1 == pytest.approx(1.0 / (3.0 * u.f0 ** 2 + 3.0),
+                                     rel=1e-14)
+
     def test_find_root_dispatch(self):
         # after one real-part iteration the two methods still differ;
         # Newton's full step to 10/3 raises |F|, so it takes half of it
@@ -227,9 +239,12 @@ class TestErrors:
         with pytest.raises(SingularDerivativeError, match="iterate 0"):
             find_root(cfg(0.0), square_eq, variable(2.0))
 
-    def test_vanishing_halley_denominator(self):
-        # at u = 1, x = -3: 2 F'^2 - F F'' = 2 * 4 - 4 * 2 = 0
-        with pytest.raises(SingularDerivativeError, match="Halley"):
+    def test_zero_halley_denominator_on_a_rootless_equation(self):
+        # at u = 1, x = -3: 2 F'^2 - F F'' = 2 * 4 - 4 * 2 = 0, so the
+        # Newton step to -1 is taken; it does not lower |F| = 4, and its
+        # half lands on u = 0, where dF/du = 0
+        with pytest.raises(SingularDerivativeError,
+                           match="dF/du vanished at iterate 1"):
             find_root(cfg(1.0, method="halley"), square_eq,
                       variable(-3.0))
 
@@ -306,8 +321,6 @@ def fixed_count_root(cfg, F, g):
         step = resid / fu
         if not newton:
             denom = 2.0 * fu * fu - resid * fd.f2
-            if denom == 0.0:
-                raise SingularDerivativeError("Halley denominator vanished")
             if denom > 0.0:
                 step = 2.0 * resid * fu / denom
         if not math.isfinite(u - step):
@@ -396,8 +409,8 @@ class TestCycleStop:
 
     @pytest.mark.parametrize("max_iters", [5, 100])
     def test_fixed_point_stops_the_loop(self, max_iters):
-        # u1 is the exact root and u2 repeats it: two evaluations, not
-        # max_iters + 1, then the settle
+        # u1 is the exact root and u2 repeats it: three evaluations (u0,
+        # u1, u2), not max_iters + 1, then the settle
         seen = []
 
         def counted(u, x):
@@ -407,14 +420,15 @@ class TestCycleStop:
         root = find_root(cfg(0.0, tol=0.0, max_iters=max_iters), counted,
                          variable(0.75))
         assert (root.f0, root.f1, root.f2) == (0.75, 1.0, 0.0)
-        assert len(seen) == 2 + 2
+        assert len(seen) == 3 + 2
 
     @pytest.mark.parametrize("max_iters", [1000, 1001])
     def test_cycle_without_convergence_raises_at_once(self, max_iters):
         # Newton on u^2 - 2 from sqrt(2) steps one ulp down and back, so
         # u2 repeats u0.  Both iterates leave |F| = 4.4e-16 > tol; their
-        # steps are at the rounding level and so undamped.  The residual
-        # is that of the iterate max_iters lands on
+        # steps are at the rounding level and so undamped.  Three
+        # evaluations (u0, u1, u2), not max_iters + 1.  The residual is
+        # that of the iterate max_iters lands on
         seen = []
 
         def counted(u, x):
@@ -424,7 +438,7 @@ class TestCycleStop:
         c = cfg(math.sqrt(2.0), tol=1e-16, max_iters=max_iters)
         with pytest.raises(NonConvergenceError) as err:
             find_root(c, counted, variable(2.0))
-        assert len(seen) == 2
+        assert len(seen) == 3
         with pytest.raises(NonConvergenceError) as want:
             fixed_count_root(c, counted, variable(2.0))
         assert err.value.residual == want.value.residual
