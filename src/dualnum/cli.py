@@ -38,6 +38,11 @@ _FIELDS = ("value", "first", "second")
 # |F| above which a fixed-count solve's root is rejected (exit 2).
 _RESIDUAL_TOL = 1e-9
 
+# duffing checks its RK4 jets by step doubling: |jet_n - jet_{n/2}| / 15
+# estimates a fourth-order jet's error, and one above this bound is
+# rejected (exit 2).  It reads 3.2e-8 at t = 2 and 1.7e-6 at t = 4.
+_RK4_ERROR_TOL = 1e-6
+
 
 # -- CSV ingestion -------------------------------------------------------
 
@@ -158,11 +163,20 @@ def _diffusivity(args) -> list[tuple[str, Dual3]]:
 def _duffing(args) -> list[tuple[str, Dual3]]:
     from .ode import duffing_problem, rk4dual
 
-    problem = duffing_problem(fixtures.DUFFING_STEPS)
+    steps = fixtures.DUFFING_STEPS
+    problem, half = duffing_problem(steps), duffing_problem(steps // 2)
     td = variable(args.t)
-    f = rk4dual(problem, td)
-    return [("f(t)", f), ("f(g(t))", rk4dual(problem, sin(td))),
-            ("g(f(t))", sin(f))]
+    ts = (td, sin(td))
+    f, f_sin = jets = [rk4dual(problem, t) for t in ts]
+    for jet, t in zip(jets, ts):
+        coarse = rk4dual(half, t)
+        estimate = max(abs(jet.f0 - coarse.f0), abs(jet.f1 - coarse.f1),
+                       abs(jet.f2 - coarse.f2)) / 15.0
+        if estimate > _RK4_ERROR_TOL:
+            raise NonConvergenceError(
+                f"RK4 error estimate {estimate:.3e} > {_RK4_ERROR_TOL:.0e} "
+                f"at time {t.f0} ({steps} steps against {steps // 2})")
+    return [("f(t)", f), ("f(g(t))", f_sin), ("g(f(t))", sin(f))]
 
 
 # label -> (wanted components, atol, rtol); a row passes a component when

@@ -10,10 +10,12 @@ or cancellation error of finite differences.
 The components are derivative-valued: ``f2`` stores ``f''`` itself, not
 the Taylor coefficient ``f''/2``.
 
-The whole chain rule lives in one private helper, ``_chain``:
+The whole chain rule lives in one private helper, ``_chain``, on floats:
 
-    chain({f, f', f''} at g0, {g0, g1, g2}) = {f, f'*g1, f''*g1**2 + f'*g2}
+    chain({f, f', f''} at g0, {g0, g1, g2}) = (f, f'*g1, f''*g1**2 + f'*g2)
 
+Every result is built by ``_mk`` around that float triple, and a float
+kernel (the mechanism residual) uses it with no ``Dual3`` in between.
 :func:`compose` applies it to a jet given as a :class:`Dual3`, which is
 also how a user-defined elemental is applied; each built-in elemental
 (``sin`` ... ``sqrt`` and ``abs``) is a plain float function returning
@@ -132,7 +134,7 @@ class Dual3(_Record):
 
     def __neg__(self) -> "Dual3":
         # the jet of -x: f2 is 0*g1*g1 - g2, +0.0 when g2 is zero
-        return _chain(-self.f0, -1.0, 0.0, self)
+        return _mk(*_chain(-self.f0, -1.0, 0.0, self))
 
     def __abs__(self) -> "Dual3":
         return _lift("abs", _abs, self)
@@ -208,10 +210,10 @@ def constant(c: float) -> Dual3:
     return _mk(check_finite("constant", c), 0.0, 0.0)
 
 
-def _chain(j0: float, j1: float, j2: float, g: Dual3) -> Dual3:
-    """The chain rule: ``{j0, j1, j2}`` is ``f``'s jet at ``g.f0``."""
+def _chain(j0: float, j1: float, j2: float, g: Dual3) -> tuple:
+    """The chain rule on floats: ``{j0, j1, j2}`` is f's jet at ``g.f0``."""
     g1 = g.f1
-    return _mk(j0, j1 * g1, j2 * g1 * g1 + j1 * g.f2)
+    return j0, j1 * g1, j2 * g1 * g1 + j1 * g.f2
 
 
 def compose(f_jet_at_g0: Dual3, g: Dual3) -> Dual3:
@@ -222,7 +224,7 @@ def compose(f_jet_at_g0: Dual3, g: Dual3) -> Dual3:
     the jet of ``f(g(.))`` with respect to the seed carried by ``g``.
     This is also how a user-defined elemental is applied.
     """
-    return _chain(f_jet_at_g0.f0, f_jet_at_g0.f1, f_jet_at_g0.f2, g)
+    return _mk(*_chain(f_jet_at_g0.f0, f_jet_at_g0.f1, f_jet_at_g0.f2, g))
 
 
 # -- elemental functions ----------------------------------------------
@@ -279,7 +281,7 @@ def _lift(name: str, jet: "Callable[[float], tuple]", g: Dual3) -> Dual3:
         j0, j1, j2 = jet(x)
     except (OverflowError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"{name} failed at real part {x}: {exc}") from None
-    return _chain(j0, j1, j2, g)
+    return _mk(*_chain(j0, j1, j2, g))
 
 
 def sin(g: Dual3) -> Dual3:

@@ -4,9 +4,9 @@ Nothing here shares a code path with the dual arithmetic: derivatives
 come from central differences, from polynomial evaluation on a Jordan
 block, from the two-sided theta/phi recurrences for a tridiagonal
 inverse, or from the closed-form inverse of the spline's knot-slope
-matrix.  The one exception, :func:`loop_closure`, checks a float kernel
-against the ``Dual3`` operators it transcribes.  The test suite plays
-these against the main modules.
+matrix.  The one exception, :func:`loop_closure`, checks a straight-line
+float kernel against the ``Dual3`` operators whose formulas it writes
+out.  The test suite plays these against the main modules.
 """
 
 from __future__ import annotations

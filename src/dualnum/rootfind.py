@@ -31,11 +31,12 @@ whatever their starting values, so derivatives stay correct even when a
 residual tolerance exits the real loop early.
 
 The bundled RRRCR residual, :meth:`MechanismParams.loop_closure`, is a
-float kernel: it evaluates its operator expression on float triples by
-the ``Dual3`` operators' own formulas, so it builds 5 ``Dual3``s (four
-``sin``/``cos`` jets and the result) where the operator form builds 43.
-That form, its oracle, is :func:`dualnum.reference.loop_closure`, and
-the tests hold the kernel to its bits.
+float kernel: its four ``sin``/``cos`` jets come from ``core._chain`` on
+floats, and its operator expression runs as straight-line float code by
+the ``Dual3`` operators' own formulas, so it builds one ``Dual3`` where
+the operator form builds 43.  That form, its oracle, is
+:func:`dualnum.reference.loop_closure`, and the tests hold the kernel to
+its bits.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 import struct
 
-from .core import Dual3, _mk, cos, sin
+from .core import Dual3, _chain, _cos, _mk, _sin
 from .errors import (
     DivergenceError,
     DomainError,
@@ -196,8 +197,8 @@ class MechanismParams(_Record):
     """
 
     __match_args__ = ("L", "l", "a", "R", "s1", "s2", "b", "e", "c1", "c2")
-    # _k holds the residual's 18 constant factors as triples.  __init__
-    # makes them, so a copy or pickle makes them again; they are no field.
+    # _k holds the residual's 18 constant factors.  __init__ makes them,
+    # so a copy or pickle makes them again; they are no field.
     __slots__ = __match_args__ + ("_k",)
 
     def __init__(self, L: float, l: float, a: float, R: float, s1: float,
@@ -219,9 +220,8 @@ class MechanismParams(_Record):
         L, ell, a, R, s1, s2, b, e, c1, c2 = values
         be = b - e
         # Each built left to right, as reference.loop_closure's operator
-        # expression forms it, so the bits are the same; as an operand
-        # each is the dual {k, 0, 0}.
-        object.__setattr__(self, "_k", tuple((k, 0.0, 0.0) for k in (
+        # expression forms it, so the bits are the same.
+        object.__setattr__(self, "_k", (
             a * a * c1 * c1 * c2 * c2 - 2.0 * a * c1 * c2 * c2 * s1 * be,
             2.0 * a * c1 * c1 * c2 * c2 * L,
             2.0 * a * c1 * c2 * c2 * R,
@@ -240,59 +240,91 @@ class MechanismParams(_Record):
             2.0 * c1 * c2 * L * R * s1 * s2,
             2.0 * c1 * R * R * s1 * s2,
             R * R,
-        )))
+        ))
 
     def loop_closure(self, phi: Dual3, theta: Dual3) -> Dual3:
         """Loop-closure residual; zero relates output angle phi to input theta.
 
         The operator expression of ``reference.loop_closure``, a
-        polynomial in the sines and cosines of the two angles, evaluated
-        on float triples by the ``Dual3`` operators' own formulas, in the
-        operators' order, so the bits are theirs; the four jets come from
-        ``sin`` and ``cos``.  Only ``+ - *`` follow them, so an inf or NaN
-        on the way reaches a final component, where the one ``_mk``
-        raises ``DomainError`` as the operators would.
+        polynomial in the sines and cosines of the two angles, as
+        straight-line float code: the ``Dual3`` operators' component
+        formulas in the operators' order, with every zero term a comment
+        does not show to be idle, so the bits are theirs.  The four jets
+        come from ``_chain`` on floats, and one ``Dual3`` is built.  A
+        real part is finite, so ``math.sin``/``math.cos`` cannot raise,
+        and only ``+ - *`` follow: an inf or NaN on the way reaches a
+        final component, where the one ``_mk`` raises ``DomainError`` as
+        the operators would.
         """
         # kN is term N's constant factor; k0 is terms 1 and 2, a number
         (k0, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16,
          k17, k18, k19) = self._k
-        st, ct, sp, cp = ((j.f0, j.f1, j.f2) for j in (
-            sin(theta), cos(theta), sin(phi), cos(phi)))
-        # k * jet is jet.__mul__(k): _mul(jet, k)
-        r = _sub(k0, _mul(ct, k3))
-        r = _add(r, _mul(cp, k4))
-        r = _sub(r, k5)
-        r = _add(r, _mul(ct, k6))
-        r = _add(r, _mul(st, k7))
-        r = _sub(r, _mul(sp, k8))
-        r = _sub(r, _mul(cp, k9))
-        r = _add(r, k10)
-        r = _sub(r, k11)
-        r = _add(r, k12)
-        r = _add(r, _mul(_mul(cp, k13), cp))
-        r = _sub(r, _mul(_mul(st, k14), sp))
-        r = _sub(r, _mul(_sub(_ONE, _mul(_mul(sp, _TWO), sp)), k15))
-        r = _sub(r, _mul(_mul(ct, k16), cp))
-        r = _sub(r, _mul(_mul(st, k17), cp))
-        r = _add(r, _mul(_mul(sp, k18), cp))
-        r = _add(r, _mul(_mul(cp, k19), cp))
-        return _mk(*r)
-
-
-# The Dual3 operators' component formulas on float triples, for
-# loop_closure: a number c enters as (c, 0.0, 0.0), as in the operators.
-_ONE, _TWO = (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)
-
-
-def _add(a: tuple, b: tuple) -> tuple:
-    return a[0] + b[0], a[1] + b[1], a[2] + b[2]
-
-
-def _sub(a: tuple, b: tuple) -> tuple:
-    return a[0] - b[0], a[1] - b[1], a[2] - b[2]
-
-
-def _mul(a: tuple, b: tuple) -> tuple:
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return a0 * b0, a1 * b0 + a0 * b1, a2 * b0 + 2.0 * a1 * b1 + a0 * b2
+        th, ph = theta.f0, phi.f0
+        st0, st1, st2 = _chain(*_sin(th), theta)
+        ct0, ct1, ct2 = _chain(*_cos(th), theta)
+        sp0, sp1, sp2 = _chain(*_sin(ph), phi)
+        cp0, cp1, cp2 = _chain(*_cos(ph), phi)
+        # reference.loop_closure's terms in order; a number k is the dual
+        # {k, 0, 0}, so jet * k is (j0 k, j1 k + j0 0, j2 k + 2 j1 0 + j0 0)
+        r0 = k0 - ct0 * k3
+        r1 = 0.0 - (ct1 * k3 + ct0 * 0.0)
+        r2 = 0.0 - (ct2 * k3 + 2.0 * ct1 * 0.0 + ct0 * 0.0)
+        r0 += cp0 * k4
+        r1 += cp1 * k4 + cp0 * 0.0
+        r2 += cp2 * k4 + 2.0 * cp1 * 0.0 + cp0 * 0.0
+        r0 -= k5  # and r1, r2 minus 0.0: x - 0.0 is x, -0.0 included
+        r0 += ct0 * k6
+        r1 += ct1 * k6 + ct0 * 0.0
+        r2 += ct2 * k6 + 2.0 * ct1 * 0.0 + ct0 * 0.0
+        r0 += st0 * k7
+        r1 += st1 * k7 + st0 * 0.0
+        r2 += st2 * k7 + 2.0 * st1 * 0.0 + st0 * 0.0
+        r0 -= sp0 * k8
+        r1 -= sp1 * k8 + sp0 * 0.0
+        r2 -= sp2 * k8 + 2.0 * sp1 * 0.0 + sp0 * 0.0
+        r0 -= cp0 * k9
+        r1 -= cp1 * k9 + cp0 * 0.0
+        r2 -= cp2 * k9 + 2.0 * cp1 * 0.0 + cp0 * 0.0
+        # + k10 - k11 + k12; for r1, r2: x + 0.0 - 0.0 + 0.0 is x + 0.0
+        r0 = r0 + k10 - k11 + k12
+        r1 += 0.0
+        r2 += 0.0
+        q0, q1, q2 = (cp0 * k13, cp1 * k13 + cp0 * 0.0,
+                      cp2 * k13 + 2.0 * cp1 * 0.0 + cp0 * 0.0)
+        r0 += q0 * cp0
+        r1 += q1 * cp0 + q0 * cp1
+        r2 += q2 * cp0 + 2.0 * q1 * cp1 + q0 * cp2
+        q0, q1, q2 = (st0 * k14, st1 * k14 + st0 * 0.0,
+                      st2 * k14 + 2.0 * st1 * 0.0 + st0 * 0.0)
+        r0 -= q0 * sp0
+        r1 -= q1 * sp0 + q0 * sp1
+        r2 -= q2 * sp0 + 2.0 * q1 * sp1 + q0 * sp2
+        # (1 - sp * 2 * sp) * k15
+        q0, q1, q2 = (sp0 * 2.0, sp1 * 2.0 + sp0 * 0.0,
+                      sp2 * 2.0 + 2.0 * sp1 * 0.0 + sp0 * 0.0)
+        q0, q1, q2 = (1.0 - q0 * sp0, 0.0 - (q1 * sp0 + q0 * sp1),
+                      0.0 - (q2 * sp0 + 2.0 * q1 * sp1 + q0 * sp2))
+        r0 -= q0 * k15
+        r1 -= q1 * k15 + q0 * 0.0
+        r2 -= q2 * k15 + 2.0 * q1 * 0.0 + q0 * 0.0
+        q0, q1, q2 = (ct0 * k16, ct1 * k16 + ct0 * 0.0,
+                      ct2 * k16 + 2.0 * ct1 * 0.0 + ct0 * 0.0)
+        r0 -= q0 * cp0
+        r1 -= q1 * cp0 + q0 * cp1
+        r2 -= q2 * cp0 + 2.0 * q1 * cp1 + q0 * cp2
+        q0, q1, q2 = (st0 * k17, st1 * k17 + st0 * 0.0,
+                      st2 * k17 + 2.0 * st1 * 0.0 + st0 * 0.0)
+        r0 -= q0 * cp0
+        r1 -= q1 * cp0 + q0 * cp1
+        r2 -= q2 * cp0 + 2.0 * q1 * cp1 + q0 * cp2
+        q0, q1, q2 = (sp0 * k18, sp1 * k18 + sp0 * 0.0,
+                      sp2 * k18 + 2.0 * sp1 * 0.0 + sp0 * 0.0)
+        r0 += q0 * cp0
+        r1 += q1 * cp0 + q0 * cp1
+        r2 += q2 * cp0 + 2.0 * q1 * cp1 + q0 * cp2
+        q0, q1, q2 = (cp0 * k19, cp1 * k19 + cp0 * 0.0,
+                      cp2 * k19 + 2.0 * cp1 * 0.0 + cp0 * 0.0)
+        r0 += q0 * cp0
+        r1 += q1 * cp0 + q0 * cp1
+        r2 += q2 * cp0 + 2.0 * q1 * cp1 + q0 * cp2
+        return _mk(r0, r1, r2)

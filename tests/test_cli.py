@@ -93,6 +93,35 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("numerical failure:")
 
+    @pytest.mark.parametrize("t, estimate", [("20", "3.338e-02"),
+                                             ("40", "1.156e-01")])
+    def test_unchecked_duffing_answer_is_two(self, capsys, t, estimate):
+        # RK4's 100-step answer is off by 2.6e-2 at t = 20 and 0.31 at 40
+        code, out, err = run(capsys, "duffing", "--t", t, "--json")
+        assert (code, out) == (2, "")
+        assert err == (f"numerical failure: RK4 error estimate {estimate} "
+                       f"> 1e-06 at time {float(t)} (100 steps against 50)\n")
+
+    @pytest.mark.parametrize("t", [1.0, 2.0, 5.0, 10.0, 20.0])
+    def test_duffing_error_estimate_tracks_the_error(self, capsys, t):
+        from dualnum import duffing_problem, rk4dual
+
+        def jet(steps):
+            d = rk4dual(duffing_problem(steps), dualnum.variable(t))
+            return d.f0, d.f1, d.f2
+
+        answer = jet(fixtures.DUFFING_STEPS)
+        estimate = max(abs(a - b) for a, b in zip(answer, jet(50))) / 15.0
+        # the fine-step reference is 20**4 times more accurate or better
+        error = max(abs(a - b) for a, b in zip(answer, jet(int(2000 * t))))
+        assert 0.3 <= estimate / error <= 3.0
+        code, _, err = run(capsys, "duffing", "--t", str(t), "--json")
+        if estimate > 1e-6:
+            assert code == 2
+            assert f"estimate {estimate:.3e} > 1e-06" in err
+        else:
+            assert code == 0
+
     def test_infinite_thickness_is_one(self, capsys):
         code, out, err = run(capsys, "diffusivity", "--thickness", "inf",
                              "--json")

@@ -27,6 +27,7 @@ from dualnum import (
     tan,
     variable,
 )
+from dualnum.core import _chain
 from dualnum.reference import central_diff
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -602,3 +603,34 @@ class TestCompose:
         right = compose(fg_jet, h)
         assert_close(left, (right.f0, right.f1, right.f2), tol=1e-12)
 
+
+
+class TestChainOnFloats:
+    """``_chain`` returns the float triple ``(j0, j1 g1, j2 g1 g1 + j1 g2)``,
+    and the lifts, ``compose`` and unary minus build their ``Dual3``
+    around it."""
+
+    ARGS = [Dual3(x, g1, g2) for x in (0.7, -2.5, -0.0)
+            for g1 in (0.0, -0.0, 1.5) for g2 in (0.0, -0.0, -2.0)]
+
+    @staticmethod
+    def chained(jet, g):
+        j0, j1, j2 = jet
+        return Dual3(j0, j1 * g.f1, j2 * g.f1 * g.f1 + j1 * g.f2)
+
+    def test_returns_floats(self):
+        out = _chain(1.0, 2.0, 3.0, Dual3(0.5, -1.5, 0.25))
+        assert type(out) is tuple
+        assert [type(c) for c in out] == [float] * 3
+        assert out == (1.0, -3.0, 7.25)
+
+    def test_results_are_built_around_it(self):
+        for g in self.ARGS:
+            for name in ("sin", "cos"):
+                jet = JETS[name](g.f0)
+                want = self.chained(jet, g)
+                assert same_dual(ELEMENTAL_FNS[name][0](g), want), (name, g)
+                assert same_dual(compose(Dual3(*jet), g), want), (name, g)
+            neg = self.chained((-g.f0, -1.0, 0.0), g)
+            assert same_dual(-g, neg), g
+            assert same_dual(Dual3(*_chain(-g.f0, -1.0, 0.0, g)), neg), g

@@ -121,6 +121,29 @@ class TestResidual:
         assert outcome(operators(params), phi, theta) is DomainError
 
 
+class TestKernelShape:
+    def test_one_dual3_per_call(self, monkeypatch):
+        # the jets are chained on floats: only the result is a Dual3
+        import dualnum.core
+        import dualnum.rootfind
+
+        phi, theta = Dual3(0.4, 1.5, -0.25), variable(2.0)
+        calls = {"core": 0, "rootfind": 0}
+
+        def counted(module, key):
+            mk = module._mk
+
+            def wrapper(*components):
+                calls[key] += 1
+                return mk(*components)
+            monkeypatch.setattr(module, "_mk", wrapper)
+
+        counted(dualnum.core, "core")
+        counted(dualnum.rootfind, "rootfind")
+        fixtures.MECHANISM_PARAMS.loop_closure(phi, theta)
+        assert calls == {"core": 0, "rootfind": 1}
+
+
 def kept(F):
     """``F`` with its outcomes kept by the bits of its arguments.  Solves
     from one start by one method repeat most of each other's residuals."""
