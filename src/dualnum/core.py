@@ -237,11 +237,13 @@ def _positive(name: str, x: float) -> None:
 
 
 def _sin(x: float) -> tuple:
-    return math.sin(x), math.cos(x), -math.sin(x)
+    s = math.sin(x)
+    return s, math.cos(x), -s
 
 
 def _cos(x: float) -> tuple:
-    return math.cos(x), -math.sin(x), -math.cos(x)
+    c = math.cos(x)
+    return c, -math.sin(x), -c
 
 
 def _tan(x: float) -> tuple:

@@ -2,14 +2,18 @@
 
 Everything the CLI fixture commands need ships here so ``--check`` runs
 without external files.  Reference triples are stored to four decimals;
-checks compare at 1e-4 absolute.
+checks compare at 1e-4 absolute.  The nr-example1 residual is a float
+kernel with the bits of its operator form,
+``reference.nr_example1_equation``; the mechanism's is
+``MechanismParams.loop_closure`` (see :mod:`dualnum.rootfind`).
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import Dual3, cos, sin
+from .core import Dual3, _mk
+from .errors import DomainError
 from .rootfind import MechanismParams
 
 # -- implicit-function example -----------------------------------------
@@ -20,8 +24,42 @@ NR_EXAMPLE1_ITERS = 100
 
 
 def nr_example1_equation(u: Dual3, x: Dual3) -> Dual3:
-    """f(u, x) = cos(u x) - u^3 + x + sin(u^2 x)."""
-    return cos(u * x) - u ** 3 + x + sin(u * u * x)
+    """f(u, x) = cos(u x) - u^3 + x + sin(u^2 x).
+
+    The operator expression of ``reference.nr_example1_equation``,
+    ``cos(u * x) - u ** 3 + x + sin(u * u * x)``, as straight-line float
+    code: the ``Dual3`` operators' component formulas in the operators'
+    order (``u ** 3`` is ``(u * u) * u``), and ``core._chain``'s formula
+    for the two lifts, so the bits are theirs and one ``Dual3`` is
+    built.  A non-finite argument of ``cos`` or ``sin`` raises
+    ``DomainError`` before libm sees it; any other inf or NaN reaches a
+    final component, where ``_mk`` raises ``DomainError`` as the
+    operators would.
+    """
+    u0, u1, u2 = u.f0, u.f1, u.f2
+    x0, x1, x2 = x.f0, x.f1, x.f2
+    a0 = u0 * x0  # u * x
+    a1 = u1 * x0 + u0 * x1
+    a2 = u2 * x0 + 2.0 * u1 * x1 + u0 * x2
+    p0 = u0 * u0  # u * u, the first factor of both u ** 3 and u * u * x
+    p1 = u1 * u0 + u0 * u1
+    p2 = u2 * u0 + 2.0 * u1 * u1 + u0 * u2
+    b0 = p0 * x0  # u * u * x
+    b1 = p1 * x0 + p0 * x1
+    b2 = p2 * x0 + 2.0 * p1 * x1 + p0 * x2
+    if 0.0 * a0 * b0 != 0.0:
+        raise DomainError(f"non-finite argument of cos or sin: u x = {a0!r},"
+                          f" u^2 x = {b0!r}")
+    # cos(a): the jet (c, -s, -c) chained through a
+    c, s = math.cos(a0), math.sin(a0)
+    j1, j2 = -s, -c
+    r0 = c - p0 * u0  # - u ** 3
+    r1 = j1 * a1 - (p1 * u0 + p0 * u1)
+    r2 = j2 * a1 * a1 + j1 * a2 - (p2 * u0 + 2.0 * p1 * u1 + p0 * u2)
+    # + x + sin(b), the jet (sb, cb, -sb) chained through b
+    sb, cb = math.sin(b0), math.cos(b0)
+    return _mk(r0 + x0 + sb, r1 + x1 + cb * b1,
+               r2 + x2 + (-sb * b1 * b1 + cb * b2))
 
 
 NR_EXAMPLE1_EXPECTED = {

@@ -4,9 +4,10 @@ Nothing here shares a code path with the dual arithmetic: derivatives
 come from central differences, from polynomial evaluation on a Jordan
 block, from the two-sided theta/phi recurrences for a tridiagonal
 inverse, or from the closed-form inverse of the spline's knot-slope
-matrix.  The one exception, :func:`loop_closure`, checks a straight-line
-float kernel against the ``Dual3`` operators whose formulas it writes
-out.  The test suite plays these against the main modules.
+matrix.  The two exceptions, :func:`loop_closure` and
+:func:`nr_example1_equation`, each check a straight-line float kernel
+against the ``Dual3`` operators whose formulas it writes out.  The test
+suite plays these against the main modules.
 """
 
 from __future__ import annotations
@@ -209,3 +210,12 @@ def loop_closure(params, phi: Dual3, theta: Dual3) -> Dual3:
         + 2.0 * c1 * R * R * s1 * s2 * sph * cph
         + R * R * cph * cph
     )
+
+
+def nr_example1_equation(u: Dual3, x: Dual3) -> Dual3:
+    """f(u, x) = cos(u x) - u^3 + x + sin(u^2 x) in ``Dual3`` operators.
+
+    ``fixtures.nr_example1_equation`` runs this expression on floats;
+    this form is the oracle it matches bit for bit.
+    """
+    return cos(u * x) - u ** 3 + x + sin(u * u * x)

@@ -24,19 +24,27 @@ passes
 
     u~  <-  u~  -  F~(u~, g) / {F_u, 0, 0}
 
-with ``F_u`` evaluated at the converged root.  At a simple root the
-first pass lands ``f1`` on ``-F_x/F_u`` and the second lands ``f2`` on
-``-(F_uu u'^2 + 2 F_ux u' + F_xx)/F_u`` exactly (up to round-off),
-whatever their starting values, so derivatives stay correct even when a
-residual tolerance exits the real loop early.
+with ``F_u`` evaluated at the last iterate.  At a simple root the first
+pass sets ``f1`` to ``-F_x/F_u`` and the second sets ``f2`` to
+``-(F_uu u'^2 + 2 F_ux u' + F_xx)/F_u``, whatever their starting values,
+but each pass also moves the real part by a Newton step.  So the two
+passes give ``f1`` and ``f2`` to round-off only where the real part is
+already at rounding level, as in a fixed-count run (``tol = 0``).  After
+a residual tolerance exits the real loop early with the real part off by
+``d``, ``f1`` is off by about ``d**2`` and ``f2`` by about ``d``: for the
+mechanism at theta = 1.5, ``tol=1e-4`` gives an ``f2`` 24% off the
+fixed-count value, ``1e-6`` 5.8e-4 and the default ``1e-12`` 3.5e-9.
+ROADMAP item 20 holds the mend.
 
-The bundled RRRCR residual, :meth:`MechanismParams.loop_closure`, is a
-float kernel: its four ``sin``/``cos`` jets come from ``core._chain`` on
-floats, and its operator expression runs as straight-line float code by
-the ``Dual3`` operators' own formulas, so it builds one ``Dual3`` where
-the operator form builds 43.  That form, its oracle, is
-:func:`dualnum.reference.loop_closure`, and the tests hold the kernel to
-its bits.
+Both bundled residuals are float kernels: :meth:`MechanismParams.loop_closure`
+(RRRCR) and :func:`dualnum.fixtures.nr_example1_equation`.  Each runs
+its operator expression as straight-line float code by the ``Dual3``
+operators' own formulas, with its ``sin``/``cos`` jets chained by
+``core._chain``'s formula, and builds one ``Dual3`` where the operator
+form builds 43 (RRRCR) or 11 (nr-example1).  The operator forms, their
+oracles, are :func:`dualnum.reference.loop_closure` and
+:func:`dualnum.reference.nr_example1_equation`, and the tests hold each
+kernel to its oracle's bits.
 """
 
 from __future__ import annotations
@@ -248,13 +256,13 @@ class MechanismParams(_Record):
         The operator expression of ``reference.loop_closure``, a
         polynomial in the sines and cosines of the two angles, as
         straight-line float code: the ``Dual3`` operators' component
-        formulas in the operators' order, with every zero term a comment
-        does not show to be idle, so the bits are theirs.  The four jets
-        come from ``_chain`` on floats, and one ``Dual3`` is built.  A
-        real part is finite, so ``math.sin``/``math.cos`` cannot raise,
-        and only ``+ - *`` follow: an inf or NaN on the way reaches a
-        final component, where the one ``_mk`` raises ``DomainError`` as
-        the operators would.
+        formulas in the operators' order, less the zero terms the
+        comment below proves idle, so the bits are theirs.  The four
+        jets come from ``_chain`` on floats, and one ``Dual3`` is built.
+        A real part is finite, so ``math.sin``/``math.cos`` cannot
+        raise, and only ``+ - *`` follow: an inf or NaN on the way
+        reaches a final component, where the one ``_mk`` raises
+        ``DomainError`` as the operators would.
         """
         # kN is term N's constant factor; k0 is terms 1 and 2, a number
         (k0, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16,
@@ -264,66 +272,72 @@ class MechanismParams(_Record):
         ct0, ct1, ct2 = _chain(*_cos(th), theta)
         sp0, sp1, sp2 = _chain(*_sin(ph), phi)
         cp0, cp1, cp2 = _chain(*_cos(ph), phi)
-        # reference.loop_closure's terms in order; a number k is the dual
-        # {k, 0, 0}, so jet * k is (j0 k, j1 k + j0 0, j2 k + 2 j1 0 + j0 0)
+        # reference.loop_closure's terms in order.  A number k is the dual
+        # {k, 0, 0}, so the operators form jet * k as (j0 k, j1 k + j0 0,
+        # j2 k + 2 j1 0 + j0 0), k - jet as k - j0, 0 - j1, 0 - j2, and
+        # jet + k as j1 + 0, j2 + 0.  Those zero terms are dropped: they
+        # change no bit of the result, for three reasons.
+        # - No dropped product is NaN.  An inf or NaN anywhere reaches a
+        #   final component through + - * (inf * 0 is NaN), so _mk raises
+        #   on both sides.  Else st2 and ct2 are finite, and as sin and
+        #   cos are not both below 0.7, theta's f1 is below 2e154; so is
+        #   phi's, and every j0, 2 j1 and q below times 0.0 is a zero.
+        # - Adding a zero moves a sum only by the sign of a zero, and a
+        #   sign of a zero moves the next + - * only by the sign of a zero.
+        # - So r1, r2 differ at most by signs of zeros until k10's + 0.0,
+        #   kept below, which makes a zero +0.0.  From then on r1, r2 hold
+        #   no -0.0: x + y and x - y give -0.0 only where x is -0.0, and
+        #   x +- a zero is x for any other x.
         r0 = k0 - ct0 * k3
-        r1 = 0.0 - (ct1 * k3 + ct0 * 0.0)
-        r2 = 0.0 - (ct2 * k3 + 2.0 * ct1 * 0.0 + ct0 * 0.0)
+        r1 = -(ct1 * k3)
+        r2 = -(ct2 * k3)
         r0 += cp0 * k4
-        r1 += cp1 * k4 + cp0 * 0.0
-        r2 += cp2 * k4 + 2.0 * cp1 * 0.0 + cp0 * 0.0
-        r0 -= k5  # and r1, r2 minus 0.0: x - 0.0 is x, -0.0 included
+        r1 += cp1 * k4
+        r2 += cp2 * k4
+        r0 -= k5
         r0 += ct0 * k6
-        r1 += ct1 * k6 + ct0 * 0.0
-        r2 += ct2 * k6 + 2.0 * ct1 * 0.0 + ct0 * 0.0
+        r1 += ct1 * k6
+        r2 += ct2 * k6
         r0 += st0 * k7
-        r1 += st1 * k7 + st0 * 0.0
-        r2 += st2 * k7 + 2.0 * st1 * 0.0 + st0 * 0.0
+        r1 += st1 * k7
+        r2 += st2 * k7
         r0 -= sp0 * k8
-        r1 -= sp1 * k8 + sp0 * 0.0
-        r2 -= sp2 * k8 + 2.0 * sp1 * 0.0 + sp0 * 0.0
+        r1 -= sp1 * k8
+        r2 -= sp2 * k8
         r0 -= cp0 * k9
-        r1 -= cp1 * k9 + cp0 * 0.0
-        r2 -= cp2 * k9 + 2.0 * cp1 * 0.0 + cp0 * 0.0
-        # + k10 - k11 + k12; for r1, r2: x + 0.0 - 0.0 + 0.0 is x + 0.0
+        r1 -= cp1 * k9
+        r2 -= cp2 * k9
         r0 = r0 + k10 - k11 + k12
         r1 += 0.0
         r2 += 0.0
-        q0, q1, q2 = (cp0 * k13, cp1 * k13 + cp0 * 0.0,
-                      cp2 * k13 + 2.0 * cp1 * 0.0 + cp0 * 0.0)
+        q0, q1, q2 = cp0 * k13, cp1 * k13, cp2 * k13
         r0 += q0 * cp0
         r1 += q1 * cp0 + q0 * cp1
         r2 += q2 * cp0 + 2.0 * q1 * cp1 + q0 * cp2
-        q0, q1, q2 = (st0 * k14, st1 * k14 + st0 * 0.0,
-                      st2 * k14 + 2.0 * st1 * 0.0 + st0 * 0.0)
+        q0, q1, q2 = st0 * k14, st1 * k14, st2 * k14
         r0 -= q0 * sp0
         r1 -= q1 * sp0 + q0 * sp1
         r2 -= q2 * sp0 + 2.0 * q1 * sp1 + q0 * sp2
         # (1 - sp * 2 * sp) * k15
-        q0, q1, q2 = (sp0 * 2.0, sp1 * 2.0 + sp0 * 0.0,
-                      sp2 * 2.0 + 2.0 * sp1 * 0.0 + sp0 * 0.0)
-        q0, q1, q2 = (1.0 - q0 * sp0, 0.0 - (q1 * sp0 + q0 * sp1),
-                      0.0 - (q2 * sp0 + 2.0 * q1 * sp1 + q0 * sp2))
+        q0, q1, q2 = sp0 * 2.0, sp1 * 2.0, sp2 * 2.0
+        q0, q1, q2 = (1.0 - q0 * sp0, -(q1 * sp0 + q0 * sp1),
+                      -(q2 * sp0 + 2.0 * q1 * sp1 + q0 * sp2))
         r0 -= q0 * k15
-        r1 -= q1 * k15 + q0 * 0.0
-        r2 -= q2 * k15 + 2.0 * q1 * 0.0 + q0 * 0.0
-        q0, q1, q2 = (ct0 * k16, ct1 * k16 + ct0 * 0.0,
-                      ct2 * k16 + 2.0 * ct1 * 0.0 + ct0 * 0.0)
+        r1 -= q1 * k15
+        r2 -= q2 * k15
+        q0, q1, q2 = ct0 * k16, ct1 * k16, ct2 * k16
         r0 -= q0 * cp0
         r1 -= q1 * cp0 + q0 * cp1
         r2 -= q2 * cp0 + 2.0 * q1 * cp1 + q0 * cp2
-        q0, q1, q2 = (st0 * k17, st1 * k17 + st0 * 0.0,
-                      st2 * k17 + 2.0 * st1 * 0.0 + st0 * 0.0)
+        q0, q1, q2 = st0 * k17, st1 * k17, st2 * k17
         r0 -= q0 * cp0
         r1 -= q1 * cp0 + q0 * cp1
         r2 -= q2 * cp0 + 2.0 * q1 * cp1 + q0 * cp2
-        q0, q1, q2 = (sp0 * k18, sp1 * k18 + sp0 * 0.0,
-                      sp2 * k18 + 2.0 * sp1 * 0.0 + sp0 * 0.0)
+        q0, q1, q2 = sp0 * k18, sp1 * k18, sp2 * k18
         r0 += q0 * cp0
         r1 += q1 * cp0 + q0 * cp1
         r2 += q2 * cp0 + 2.0 * q1 * cp1 + q0 * cp2
-        q0, q1, q2 = (cp0 * k19, cp1 * k19 + cp0 * 0.0,
-                      cp2 * k19 + 2.0 * cp1 * 0.0 + cp0 * 0.0)
+        q0, q1, q2 = cp0 * k19, cp1 * k19, cp2 * k19
         r0 += q0 * cp0
         r1 += q1 * cp0 + q0 * cp1
         r2 += q2 * cp0 + 2.0 * q1 * cp1 + q0 * cp2

@@ -27,7 +27,7 @@ from dualnum import (
     tan,
     variable,
 )
-from dualnum.core import _chain
+from dualnum.core import _chain, _cos, _sin
 from dualnum.reference import central_diff
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -634,3 +634,12 @@ class TestChainOnFloats:
             neg = self.chained((-g.f0, -1.0, 0.0), g)
             assert same_dual(-g, neg), g
             assert same_dual(Dual3(*_chain(-g.f0, -1.0, 0.0, g)), neg), g
+
+    @pytest.mark.parametrize("name", ["sin", "cos"])
+    def test_jet_holds_the_bits_of_its_two_libm_calls(self, name):
+        # _sin and _cos call libm once for their own value and negate it
+        # for f''; JETS calls it twice
+        jet = {"sin": _sin, "cos": _cos}[name]
+        for x in (0.0, -0.0, 5e-324, math.pi, -math.pi, 1e300):
+            got, want = jet(x), JETS[name](x)
+            assert all(same_float(a, b) for a, b in zip(got, want)), x

@@ -77,7 +77,7 @@ class TestResidual:
     def test_random_pairs_match_operators(self, name):
         params = PARAMS[name]
         rng = random.Random(f"loop-closure {name}")
-        for _ in range(2000):
+        for _ in range(20000):
             phi, theta = dual(rng), dual(rng)
             assert (outcome(params.loop_closure, phi, theta)
                     == outcome(operators(params), phi, theta)), (phi, theta)
@@ -93,6 +93,26 @@ class TestResidual:
                     + [Dual3(1.0, f1, -0.0) for f1 in (1e150, -1e160, MAX)])
         for phi in specials:
             for theta in specials:
+                assert (outcome(params.loop_closure, phi, theta)
+                        == outcome(operators(params), phi, theta)), (
+                            phi, theta)
+
+    # Edges of the proof that the kernel's dropped zero terms are idle:
+    # an angle whose sine is a zero of either sign, and f1 seeds around
+    # 1.3e154, where f1 * f1 in a second-order jet overflows.
+    @pytest.mark.parametrize("name", PARAMS)
+    def test_zero_term_edges_match_operators(self, name):
+        params = PARAMS[name]
+        zeros = (0.0, -0.0)
+        edges = ([Dual3(z, f1, f2) for z in zeros for f1 in (*zeros, 1.0)
+                  for f2 in (*zeros, -2.0)]
+                 + [variable(z) for z in zeros]
+                 + [Dual3(th, sign * f1, 0.0)
+                    for th in (0.0, -0.0, 2.0, -math.pi / 2)
+                    for sign in (1.0, -1.0)
+                    for f1 in (1.2e154, 1.3e154, 1.34e154, 1.4e154, 2e154)])
+        for phi in edges:
+            for theta in edges:
                 assert (outcome(params.loop_closure, phi, theta)
                         == outcome(operators(params), phi, theta)), (
                             phi, theta)
