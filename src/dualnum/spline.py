@@ -23,7 +23,11 @@ Larger curves take the same steps as numpy array operations and one
 the cutoff moves no bit.  Where LAPACK is compiled without fused
 multiply-add contraction, as in x86-64 OpenBLAS builds, both paths give
 the slopes of ``scipy.linalg.solve_banded`` (which calls ``dgtsv``) bit
-for bit; the sweep itself rounds the same on every platform.
+for bit; the sweep itself rounds the same on every platform.  Of the
+factor arrays ``dgttrs`` reads, all but the diagonal are the same for
+every curve up to its length: one read-only set, sized for the largest
+curve built so far, serves every call through prefix views.  It holds
+28 bytes per knot of that curve, whose data and model hold 40.
 
 Both paths keep one thing: read-only float64 buffers, which evaluation
 and the search index through memoryviews that return plain floats.
@@ -216,12 +220,21 @@ def _sweep(r: list) -> list:
     return r
 
 
+# dgttrs's factor arrays that are the same for every n: the multipliers
+# 1/p_i, the unit superdiagonal, the zero second superdiagonal and the
+# identity pivot order, read-only, for the largest system solved so far.
+# A larger system rebinds the name to a larger set; a solve that holds
+# the old set reads it to the end.
+_SHARED_FACTORS = ()
+
+
 def _solve(r: "np.ndarray") -> "np.ndarray":
     """Solve ``T D = r`` (3 rows or more) by one ``dgttrs`` call, which
     may overwrite ``r``."""
     import numpy as np
     from scipy.linalg.lapack import dgttrs
 
+    global _SHARED_FACTORS
     # T's factors: pivots from the table, their reciprocals below them,
     # the unit superdiagonal above, no row interchanges.  They are finite,
     # so a non-finite r can only show in the result.
@@ -229,10 +242,17 @@ def _solve(r: "np.ndarray") -> "np.ndarray":
     d = np.full(n, _PIVOTS[-1])
     k = min(n - 1, len(_PIVOTS))
     d[:k] = _PIVOTS[:k]
-    dl = 1.0 / d[:-1]
-    d[-1] = 2.0 - dl[-1]
-    x, _ = dgttrs(dl, d, np.ones(n - 1), np.zeros(n - 2),
-                  np.arange(1, n + 1, dtype=np.intc), r, overwrite_b=True)
+    shared = _SHARED_FACTORS
+    if not shared or shared[3].size < n:
+        shared = (1.0 / d[:-1], np.ones(n - 1), np.zeros(n - 2),
+                  np.arange(1, n + 1, dtype=np.intc))
+        for a in shared:
+            a.setflags(write=False)
+        _SHARED_FACTORS = shared
+    dl, du, du2, ipiv = shared
+    d[-1] = 2.0 - dl[n - 2]
+    x, _ = dgttrs(dl[:n - 1], d, du[:n - 1], du2[:n - 2], ipiv[:n], r,
+                  overwrite_b=True)
     return x
 
 
@@ -270,16 +290,20 @@ def _fill_ndarrays(y) -> tuple:
         rhs = np.empty(y.size)
         rhs[0] = 3.0 * (y[1] - y[0])
         rhs[-1] = 3.0 * (y[-1] - y[-2])
-        rhs[1:-1] = 3.0 * (y[2:] - y[:-2])
+        np.subtract(y[2:], y[:-2], out=rhs[1:-1])
+        rhs[1:-1] *= 3.0
 
         slopes = _solve(rhs)
 
         # c = 3 dy - 2 D_i - D_{i+1} and d = -2 dy + D_i + D_{i+1}, in
-        # place and in that order: the same roundings, fewer temporaries.
-        d = y[1:] - y[:-1]
-        c = 3.0 * d
-        c -= 2.0 * slopes[:-1]
+        # place and in that order: the same roundings, and no arrays but
+        # the two the model keeps.
+        d = slopes[:-1] * 2.0
+        c = y[1:] - y[:-1]
+        c *= 3.0
+        c -= d
         c -= slopes[1:]
+        np.subtract(y[1:], y[:-1], out=d)
         d *= -2.0
         d += slopes[:-1]
         d += slopes[1:]
@@ -427,9 +451,14 @@ def _candidates_ndarrays(model: SplineModel) -> list:
     b, c, d, slopes = (np.frombuffer(v, dtype=float)
                        for v in model._views[1:5])
     # The masks read only signs, so numpy's overflow warning is noise.
+    # One buffer holds the knot slope products, then c (c + 3 d).
     with np.errstate(over="ignore"):
-        crosses = np.flatnonzero(slopes[:-1] * slopes[1:] <= 0.0)
-        turns = np.flatnonzero(c * (c + 3.0 * d) < 0.0)
+        product = slopes[:-1] * slopes[1:]
+        crosses = np.flatnonzero(product <= 0.0)
+        np.multiply(3.0, d, out=product)
+        product += c
+        product *= c
+        turns = np.flatnonzero(product < 0.0)
         bt, ct = b[turns], c[turns]
         at_turn = bt - ct * (ct / (3.0 * d[turns]))
     turns = turns[np.sign(at_turn) != np.sign(bt)]

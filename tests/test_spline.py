@@ -257,6 +257,97 @@ class TestSweepMatchesBandedSolve:
         assert _PIVOTS[-1] == 4.0 - 1.0 / _PIVOTS[-1]
 
 
+class TestSharedFactors:
+    """Above the cutoff every solve passes dgttrs prefix views of one
+    read-only set of factor arrays, sized for the largest system solved
+    so far."""
+
+    # every size reads prefixes of arrays grown by a larger one
+    DESCENDING = [4096, 257, 160] + list(range(130, _SWEEP_MAX_KNOTS, -1))
+
+    @pytest.fixture
+    def largest(self, monkeypatch):
+        """The shared set after a 65 536-knot build into an empty one."""
+        monkeypatch.setattr(spline, "_SHARED_FACTORS", ())
+        x = np.arange(65536.0)
+        build_spline(SplineData(x, np.sin(x / 100.0)))
+        shared = spline._SHARED_FACTORS
+        assert shared[3].size == 65536
+        return shared
+
+    def test_smaller_solves_read_prefixes_bit_for_bit(self, largest):
+        rng = np.random.RandomState(37)
+        for n in self.DESCENDING:
+            signed_zeros = np.where(rng.rand(n) < 0.5, -0.0, 0.0)
+            mixed = np.where(rng.rand(n) < 0.8, signed_zeros,
+                             rng.uniform(-1.0, 1.0, n))
+            for rhs in (rng.uniform(-1.0, 1.0, n), signed_zeros, mixed):
+                want = TestSweepMatchesBandedSolve.banded_solve(rhs)
+                assert _solve(rhs.copy()).tobytes() == want.tobytes(), n
+        assert spline._SHARED_FACTORS is largest
+
+    def test_arrays_stay_read_only_lapack_factors(self, largest):
+        # dgttrf on the 65 536-row T computes them afresh
+        from scipy.linalg.lapack import dgttrf
+
+        rng = np.random.RandomState(43)
+        for n in self.DESCENDING:
+            _solve(rng.uniform(-1.0, 1.0, n))
+        n = 65536
+        diagonal = np.array([2.0] + [4.0] * (n - 2) + [2.0])
+        dl, _, du, du2, ipiv, info = dgttrf(np.ones(n - 1), diagonal,
+                                            np.ones(n - 1))
+        assert info == 0
+        assert spline._SHARED_FACTORS is largest
+        for got, want in zip(largest, (dl, du, du2, ipiv)):
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_threads_build_the_bits_of_serial_builds(self, monkeypatch):
+        import sys
+        import threading
+
+        monkeypatch.setattr(spline, "_SHARED_FACTORS", ())
+        rng = np.random.RandomState(47)
+        sizes = [97, 65536, 130, 4096, 257, 16384, 98, 1000]
+        datas = [SplineData(np.arange(float(n)), rng.uniform(-1.0, 1.0, n))
+                 for n in sizes]
+
+        def built(data):
+            model = build_spline(data)
+            return b"".join(getattr(model, name).tobytes()
+                            for name in ("slopes", "c", "d"))
+
+        # each thread starts at another size, so the set grows while
+        # other threads solve on it
+        results = [[] for _ in range(4)]
+        start = threading.Barrier(4)
+
+        def work(t):
+            start.wait()
+            order = sizes[2 * t:] + sizes[:2 * t]
+            done = {n: built(datas[sizes.index(n)]) for n in order}
+            results[t] = [done[n] for n in sizes]
+
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # many thread switches per build
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        serial = [built(data) for data in datas]
+        assert results == [serial] * 4
+
+
 class TestClosedFormInverse:
     def test_two_by_two_entries(self):
         assert tinv_entry(2, 1, 1) == pytest.approx(2.0 / 3.0, abs=1e-14)
