@@ -19,8 +19,7 @@ Where ``2 F_u^2 - F F_uu <= 0`` the Halley step is no descent direction,
 and the Newton step is taken instead.
 Iterates are built by ``core._mk``, so one that overflows to inf, or
 one at which ``F`` fails, raises :class:`~dualnum.errors.DivergenceError`.
-The derivative components are then settled by exactly two dual-only
-passes
+The derivative components are then settled by exactly two dual passes
 
     u~  <-  u~  -  F~(u~, g) / {F_u, 0, 0}
 
@@ -44,13 +43,13 @@ operators' own formulas, with its ``sin``/``cos`` jets chained by
 form builds 43 (RRRCR) or 11 (nr-example1).  The operator forms, their
 oracles, are :func:`dualnum.reference.loop_closure` and
 :func:`dualnum.reference.nr_example1_equation`, and the tests hold each
-kernel to its oracle's bits.
+kernel to its oracle's bits.  The settle passes are a third float
+kernel, held to their operator form's bits and errors the same way.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 
 from .core import Dual3, _chain, _cos, _mk, _sin
 from .errors import (
@@ -80,9 +79,6 @@ _SQRT_EPS = 2.0 ** -26
 # less.
 _MAX_HALVINGS = 10
 
-# An iterate's bits: 0.0 == -0.0, yet F may round differently at each.
-_bits = struct.Struct("<d").pack
-
 
 class RootConfig(_Record):
     """Iteration controls for :func:`find_root`.
@@ -90,9 +86,9 @@ class RootConfig(_Record):
     ``method`` is ``"newton"`` or ``"halley"``.  ``tol`` is a residual
     tolerance on ``|F|``; ``tol = 0`` disables the early exit and returns
     the iterate after exactly ``max_iters`` real-part iterations, which
-    reproduces fixed-count reference runs.  Once an iterate repeats, the
-    rest of the sequence is periodic, so that iterate is read off the
-    cycle instead of computed.  A damped step that no halving makes lower
+    reproduces fixed-count reference runs.  Each of those iterations is
+    computed, so such a run's cost grows with ``max_iters``.  A damped
+    step that no halving makes lower
     ``|F|`` raises :class:`~dualnum.errors.NonConvergenceError`, with
     ``tol = 0`` too.
     """
@@ -116,6 +112,7 @@ def find_root(cfg: RootConfig, F: "Callable[[Dual3, Dual3], Dual3]",
               g: Dual3) -> Dual3:
     """Solve ``F(u, g.f0) = 0`` by ``cfg.method``; derivatives from ``g``."""
     newton = cfg.method == "newton"
+    max_iters, tol = cfg.max_iters, cfg.tol
     x_const = _mk(g.f0, 0.0, 0.0)
     u = cfg.u0
 
@@ -123,16 +120,11 @@ def find_root(cfg: RootConfig, F: "Callable[[Dual3, Dual3], Dual3]",
     # accepted): the last one serves the tolerance test and gives the
     # settle phase its slope.
     fd = F(_mk(u, 1.0, 0.0), x_const)
-    trail = []  # (u, F(u)) of iterates 0..k
-    seen = {}  # _bits(u) -> index in trail
     try:
-        for k in range(cfg.max_iters + 1):
+        for k in range(max_iters):
             resid = fd.f0
-            if k == cfg.max_iters or (cfg.tol > 0.0
-                                      and abs(resid) <= cfg.tol):
+            if tol > 0.0 and abs(resid) <= tol:
                 break
-            seen[_bits(u)] = k
-            trail.append((u, fd))
             fu = fd.f1
             if fu == 0.0:
                 raise SingularDerivativeError(
@@ -161,35 +153,38 @@ def find_root(cfg: RootConfig, F: "Callable[[Dual3, Dual3], Dual3]",
                     residual=abs(resid),
                 )
             u = u_next
-            j = seen.get(_bits(u))
-            if j is not None:
-                # F is pure, so iterate k + 1 repeats iterate j and the
-                # rest cycles with period k + 1 - j: read off the iterate
-                # the full loop would end on.  No iterate of the cycle
-                # passed the tol.
-                u, fd = trail[j + (cfg.max_iters - j) % (k + 1 - j)]
-                resid = fd.f0
-                break
     except DomainError as exc:
         # Raised by _mk at a non-finite candidate u_next, or by F there.
         raise DivergenceError(
             f"iterate {k + 1} failed (u={u_next}): {exc}",
             iterations=k + 1,
         ) from exc
-    if cfg.tol > 0.0 and abs(resid) > cfg.tol:
+    resid = fd.f0
+    if tol > 0.0 and abs(resid) > tol:
         raise NonConvergenceError(
-            f"|F| = {abs(resid):.3e} > tol = {cfg.tol:.3e} "
-            f"after {cfg.max_iters} iterations",
+            f"|F| = {abs(resid):.3e} > tol = {tol:.3e} "
+            f"after {max_iters} iterations",
             residual=resid,
         )
 
-    # Settle phase: two dual passes with the slope pinned at the root.
+    # Settle phase: two passes of ud - F(ud, g) / slope on floats, by the
+    # formulas of Dual3.__truediv__ and __sub__.  The divisor {slope, 0, 0}
+    # adds q0 0 to q1's numerator and 2 q1 0 + q0 0 to q2's; dropped, they
+    # change no bit.  For finite q0, q1 they are zeros and move q1, q2 at
+    # most by a zero's sign, which ud.f1 - q1 and ud.f2 - q2 cannot show:
+    # ud's f1 and f2 start +0.0 and never hold -0.0 (x - y is -0.0 only
+    # where x is), and x - z is x for other x.  A quotient is non-finite
+    # exactly where the operator form's is; r / slope then raises as it.
     slope = fd.f1
     if slope == 0.0:
         raise SingularDerivativeError(f"dF/du vanished at the root u={u}")
     ud = _mk(u, 0.0, 0.0)
     for _ in range(_SETTLE_PASSES):
-        ud = ud - F(ud, g) / slope
+        r = F(ud, g)
+        q0, q1, q2 = r.f0 / slope, r.f1 / slope, r.f2 / slope
+        if 0.0 * q0 * q1 * q2 != 0.0:
+            r / slope  # raises
+        ud = _mk(ud.f0 - q0, ud.f1 - q1, ud.f2 - q2)
     return ud
 
 

@@ -306,7 +306,8 @@ class TestErrors:
 
 
 def fixed_count_root(cfg, F, g):
-    """``find_root`` without the cycle stop: every iterate is computed."""
+    """``find_root`` in operator form: its settle passes are
+    ``ud - F(ud, g) / slope``, the form the float settle reproduces."""
     newton = cfg.method == "newton"
     x_const = constant(g.f0)
     u = float(cfg.u0)
@@ -343,10 +344,9 @@ def fixed_count_root(cfg, F, g):
     slope = fd.f1
     if slope == 0.0:
         raise SingularDerivativeError(f"dF/du vanished at the root u={u}")
-    slope_const = constant(slope)
     ud = Dual3(u)
     for _ in range(2):
-        ud = ud - F(ud, g) / slope_const
+        ud = ud - F(ud, g) / slope
     return ud
 
 
@@ -388,6 +388,9 @@ def _seeded_cases():
 
 
 class TestCycleStop:
+    """Fixed-count runs through rounding cycles: every iterate is
+    computed, and these tests pin the bits, call counts and errors."""
+
     @pytest.mark.parametrize("tol", [0.0, 1e-12])
     @pytest.mark.parametrize("method", ["newton", "halley"])
     def test_bits_match_the_fixed_count_loop(self, method, tol):
@@ -399,8 +402,9 @@ class TestCycleStop:
     @pytest.mark.parametrize("max_iters", [1, 2, 3, 10])
     @pytest.mark.parametrize("method", ["newton", "halley"])
     def test_signed_zero_iterates_are_distinct(self, method, max_iters):
-        # keyed on ==, +0.0 would repeat u0 = -0.0, and the settle would
-        # start from -0.0 with slope 2 and end on (0.25, 0.5, 0)
+        # +0.0 equals u0 = -0.0 yet is a new iterate with slope 1: a loop
+        # that took it for a repeat of u0 would settle from -0.0 with
+        # slope 2 and end on (0.25, 0.5, 0)
         c = cfg(-0.0, method=method, tol=0.0, max_iters=max_iters)
         got = outcome(find_root, c, signed_zero_eq, variable(0.5))
         assert got == outcome(fixed_count_root, c, signed_zero_eq,
@@ -409,8 +413,9 @@ class TestCycleStop:
 
     @pytest.mark.parametrize("max_iters", [5, 100])
     def test_fixed_point_stops_the_loop(self, max_iters):
-        # u1 is the exact root and u2 repeats it: three evaluations (u0,
-        # u1, u2), not max_iters + 1, then the settle
+        # u1 is the exact root and every later iterate repeats it; tol=0
+        # still evaluates exactly max_iters + 1 iterates (u0 .. u_max),
+        # then the two settle passes
         seen = []
 
         def counted(u, x):
@@ -420,15 +425,15 @@ class TestCycleStop:
         root = find_root(cfg(0.0, tol=0.0, max_iters=max_iters), counted,
                          variable(0.75))
         assert (root.f0, root.f1, root.f2) == (0.75, 1.0, 0.0)
-        assert len(seen) == 3 + 2
+        assert seen == [0.0] + [0.75] * (max_iters + 2)
 
     @pytest.mark.parametrize("max_iters", [1000, 1001])
     def test_cycle_without_convergence_raises_at_once(self, max_iters):
         # Newton on u^2 - 2 from sqrt(2) steps one ulp down and back, so
         # u2 repeats u0.  Both iterates leave |F| = 4.4e-16 > tol; their
-        # steps are at the rounding level and so undamped.  Three
-        # evaluations (u0, u1, u2), not max_iters + 1.  The residual is
-        # that of the iterate max_iters lands on
+        # steps are at the rounding level and so undamped.  Every iterate
+        # is evaluated, max_iters + 1 of them, before the raise.  The
+        # residual is that of the iterate max_iters lands on
         seen = []
 
         def counted(u, x):
@@ -438,10 +443,80 @@ class TestCycleStop:
         c = cfg(math.sqrt(2.0), tol=1e-16, max_iters=max_iters)
         with pytest.raises(NonConvergenceError) as err:
             find_root(c, counted, variable(2.0))
-        assert len(seen) == 3
+        assert len(seen) == max_iters + 1
         with pytest.raises(NonConvergenceError) as want:
             fixed_count_root(c, counted, variable(2.0))
         assert err.value.residual == want.value.residual
+
+
+def settle_outcome(solve, *args):
+    """Components as bits, or the exception class and its message."""
+    try:
+        d = solve(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return tuple(c.hex() for c in (d.f0, d.f1, d.f2))
+
+
+def reversed_eq(u, x):
+    return x - u
+
+
+def signed_parts_eq(u, x):
+    # u - x with each zero derivative part's sign flipped: the settle
+    # divides -0.0 where u - x would give +0.0, and the reverse
+    r = u - x
+    return Dual3(r.f0, r.f1 if r.f1 else -r.f1, r.f2 if r.f2 else -r.f2)
+
+
+def flattening_eq(u, x):
+    # 1 + u at u0 = 0, whose damped step is taken in full to u1 = -1.
+    # Left of -0.5 F is 0.5 + 1e-310 u, so the settle divides 0.5 by the
+    # slope 1e-310: q0 is inf, and the operator form's q1 = (0 - inf 0)
+    # / slope is NaN
+    if u.f0 < -0.5:
+        return 0.5 + 1e-310 * u + (x - x)
+    return 1.0 + u + (x - x)
+
+
+def steep_in_x_eq(u, x):
+    # F_u = 1e-300 and F_x = 1e10 at the root u = x = 0.5, so the first
+    # settle pass's q1 = 1e10 / 1e-300 is inf and its q2 NaN
+    return 1e-300 * (u - x) + 1e10 * (x - x.f0)
+
+
+class TestFloatSettle:
+    """``find_root``'s settle passes on floats against their operator
+    form ``ud - F(ud, g) / slope``, bit for bit and error for error."""
+
+    @pytest.mark.parametrize("g1,g2", [(0.0, 0.0), (0.0, -0.0),
+                                       (-0.0, 0.0), (-0.0, -0.0)])
+    @pytest.mark.parametrize("F", [identity_eq, reversed_eq, cube_eq,
+                                   sine_eq, signed_parts_eq])
+    def test_signed_zero_parts(self, F, g1, g2):
+        for x0 in (0.5, 2.0, -0.0):
+            g = Dual3(x0, g1, g2)
+            for method in ("newton", "halley"):
+                for tol in (0.0, 1e-12):
+                    c = cfg(1.3, method=method, tol=tol, max_iters=60)
+                    got = settle_outcome(find_root, c, F, g)
+                    assert got == settle_outcome(fixed_count_root, c, F, g)
+                    # g is a constant, so is the root
+                    assert float.fromhex(got[1]) == 0.0
+                    assert float.fromhex(got[2]) == 0.0
+
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    @pytest.mark.parametrize("F,kw,message", [
+        (flattening_eq, dict(u0=0.0, tol=0.0, max_iters=1),
+         "NaN component in Dual3(inf, nan, nan)"),
+        (steep_in_x_eq, dict(u0=0.5),
+         "NaN component in Dual3(0.0, inf, nan)"),
+    ])
+    def test_non_finite_quotient(self, method, F, kw, message):
+        c = RootConfig(method=method, **kw)
+        got = settle_outcome(find_root, c, F, variable(0.5))
+        assert got == settle_outcome(fixed_count_root, c, F, variable(0.5))
+        assert got == (DomainError, message)
 
 
 class TestMechanism:
