@@ -98,7 +98,7 @@ def _solve(cfg: RootConfig, F, g: Dual3) -> tuple[Dual3, float]:
     if abs(residual) > _RESIDUAL_TOL:
         raise NonConvergenceError(
             f"|F| = {abs(residual):.3e} > {_RESIDUAL_TOL:.0e} after "
-            f"{cfg.max_iters} iterations", residual=residual)
+            f"{cfg.max_iters} iterations", residual=abs(residual))
     return u, residual
 
 

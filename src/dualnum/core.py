@@ -14,8 +14,9 @@ The whole chain rule lives in one private helper, ``_chain``, on floats:
 
     chain({f, f', f''} at g0, {g0, g1, g2}) = (f, f'*g1, f''*g1**2 + f'*g2)
 
-Every result is built by ``_mk`` around that float triple, and a float
-kernel (the mechanism residual) uses it with no ``Dual3`` in between.
+Every result is built by ``_mk`` around that float triple.  The two
+float kernels, ``MechanismParams.loop_closure`` and
+``fixtures.nr_example1_equation``, write it out for their jets.
 :func:`compose` applies it to a jet given as a :class:`Dual3`, which is
 also how a user-defined elemental is applied; each built-in elemental
 (``sin`` ... ``sqrt`` and ``abs``) is a plain float function returning

@@ -43,7 +43,7 @@ class DivergenceError(NumericalError):
 
 
 class NonConvergenceError(NumericalError):
-    """Residual tolerance not met within the iteration budget."""
+    """Residual tolerance not met; ``residual`` is ``|F|`` where it stopped."""
 
     def __init__(self, message: str, residual: float = float("nan")):
         super().__init__(message)

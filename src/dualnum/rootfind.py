@@ -38,8 +38,8 @@ ROADMAP item 20 holds the mend.
 Both bundled residuals are float kernels: :meth:`MechanismParams.loop_closure`
 (RRRCR) and :func:`dualnum.fixtures.nr_example1_equation`.  Each runs
 its operator expression as straight-line float code by the ``Dual3``
-operators' own formulas, with its ``sin``/``cos`` jets chained by
-``core._chain``'s formula, and builds one ``Dual3`` where the operator
+operators' own formulas, with ``core._chain``'s formula written out
+for its ``sin``/``cos`` jets, and builds one ``Dual3`` where the operator
 form builds 43 (RRRCR) or 11 (nr-example1).  The operator forms, their
 oracles, are :func:`dualnum.reference.loop_closure` and
 :func:`dualnum.reference.nr_example1_equation`, and the tests hold each
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Dual3, _chain, _cos, _mk, _sin
+from .core import Dual3, _mk
 from .errors import (
     DivergenceError,
     DomainError,
@@ -164,7 +164,7 @@ def find_root(cfg: RootConfig, F: "Callable[[Dual3, Dual3], Dual3]",
         raise NonConvergenceError(
             f"|F| = {abs(resid):.3e} > tol = {tol:.3e} "
             f"after {max_iters} iterations",
-            residual=resid,
+            residual=abs(resid),
         )
 
     # Settle phase: two passes of ud - F(ud, g) / slope on floats, by the
@@ -253,7 +253,9 @@ class MechanismParams(_Record):
         straight-line float code: the ``Dual3`` operators' component
         formulas in the operators' order, less the zero terms the
         comment below proves idle, so the bits are theirs.  The four
-        jets come from ``_chain`` on floats, and one ``Dual3`` is built.
+        ``sin``/``cos`` jets are ``core._chain``'s formula written out,
+        on one ``math.sin`` and one ``math.cos`` per angle, and one
+        ``Dual3`` is built.
         A real part is finite, so ``math.sin``/``math.cos`` cannot
         raise, and only ``+ - *`` follow: an inf or NaN on the way
         reaches a final component, where the one ``_mk`` raises
@@ -262,11 +264,16 @@ class MechanismParams(_Record):
         # kN is term N's constant factor; k0 is terms 1 and 2, a number
         (k0, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16,
          k17, k18, k19) = self._k
-        th, ph = theta.f0, phi.f0
-        st0, st1, st2 = _chain(*_sin(th), theta)
-        ct0, ct1, ct2 = _chain(*_cos(th), theta)
-        sp0, sp1, sp2 = _chain(*_sin(ph), phi)
-        cp0, cp1, cp2 = _chain(*_cos(ph), phi)
+        # sin's jet (s, c, -s) and cos's (c, -s, -c) chained through each
+        # angle by core._chain's formula, its operands in its order
+        t0, t1, t2 = theta.f0, theta.f1, theta.f2
+        p0, p1, p2 = phi.f0, phi.f1, phi.f2
+        s, c = math.sin(t0), math.cos(t0)
+        st0, st1, st2 = s, c * t1, -s * t1 * t1 + c * t2
+        ct0, ct1, ct2 = c, -s * t1, -c * t1 * t1 + -s * t2
+        s, c = math.sin(p0), math.cos(p0)
+        sp0, sp1, sp2 = s, c * p1, -s * p1 * p1 + c * p2
+        cp0, cp1, cp2 = c, -s * p1, -c * p1 * p1 + -s * p2
         # reference.loop_closure's terms in order.  A number k is the dual
         # {k, 0, 0}, so the operators form jet * k as (j0 k, j1 k + j0 0,
         # j2 k + 2 j1 0 + j0 0), k - jet as k - j0, 0 - j1, 0 - j2, and

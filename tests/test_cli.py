@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import dualnum
-from dualnum.cli import main, read_xy_csv
-from dualnum import ValidationError
+from dualnum.cli import _solve, main, read_xy_csv
+from dualnum import (NonConvergenceError, RootConfig, ValidationError,
+                     constant, find_root, variable)
 from dualnum import fixtures
 
 
@@ -26,6 +27,22 @@ def run_json(capsys, *argv):
 
 
 COMMANDS = ["nr-example1", "mechanism", "spline", "diffusivity", "duffing"]
+
+
+class TestSolveCheck:
+    def test_non_convergence_carries_abs_residual(self):
+        # three fixed-count iterates and the settle end short of x on
+        # F < 0, which the residual check then rejects
+        def negative_double_root(u, x):
+            return -((u - x) * (u - x))
+
+        cfg, x = RootConfig(0.0, max_iters=3, tol=0.0), variable(0.75)
+        u = find_root(cfg, negative_double_root, x)
+        F = negative_double_root(constant(u.f0), constant(0.75)).f0
+        assert F < 0.0
+        with pytest.raises(NonConvergenceError) as err:
+            _solve(cfg, negative_double_root, x)
+        assert err.value.residual == -F
 
 
 class TestExitCodes:

@@ -163,6 +163,28 @@ class TestKernelShape:
         fixtures.MECHANISM_PARAMS.loop_closure(phi, theta)
         assert calls == {"core": 0, "rootfind": 1}
 
+    def test_one_libm_call_per_function_per_angle(self, monkeypatch):
+        # each angle's sine and cosine serve both of its jets
+        import types
+
+        import dualnum.rootfind
+
+        calls = {"sin": 0, "cos": 0}
+
+        def counted(name):
+            fn = getattr(math, name)
+
+            def wrapper(x):
+                calls[name] += 1
+                return fn(x)
+            return wrapper
+
+        shim = types.SimpleNamespace(sin=counted("sin"), cos=counted("cos"))
+        monkeypatch.setattr(dualnum.rootfind, "math", shim)
+        fixtures.MECHANISM_PARAMS.loop_closure(Dual3(0.4, 1.5, -0.25),
+                                               variable(2.0))
+        assert calls == {"sin": 2, "cos": 2}
+
 
 def kept(F):
     """``F`` with its outcomes kept by the bits of its arguments.  Solves

@@ -304,6 +304,17 @@ class TestErrors:
         assert math.isfinite(err.value.residual)
         assert abs(err.value.residual) > 1e-12
 
+    def test_tolerance_exit_carries_abs_residual(self):
+        # F = -(u - x)^2 < 0: Newton halves the distance to x exactly, so
+        # three iterates from 0 end at 0.65625, 0.09375 short of x = 0.75
+        def negative_double_root(u, x):
+            return -((u - x) * (u - x))
+
+        with pytest.raises(NonConvergenceError) as err:
+            find_root(cfg(0.0, tol=1e-12, max_iters=3),
+                      negative_double_root, variable(0.75))
+        assert err.value.residual == 0.09375 ** 2
+
 
 def fixed_count_root(cfg, F, g):
     """``find_root`` in operator form: its settle passes are
@@ -340,7 +351,7 @@ def fixed_count_root(cfg, F, g):
             raise NonConvergenceError("stalled", residual=abs(resid))
         u = u - step
     if cfg.tol > 0.0 and abs(resid) > cfg.tol:
-        raise NonConvergenceError("not converged", residual=resid)
+        raise NonConvergenceError("not converged", residual=abs(resid))
     slope = fd.f1
     if slope == 0.0:
         raise SingularDerivativeError(f"dF/du vanished at the root u={u}")
