@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import operator
@@ -16,17 +17,25 @@ from dualnum import (
     Dual3,
     DomainError,
     NumericalError,
+    RootConfig,
+    SplineData,
     ValidationError,
+    build_spline,
     compose,
     constant,
     cos,
+    duffing_problem,
+    eval_dual,
     exp,
+    find_root,
     log,
+    rk4dual,
     sin,
     sqrt,
     tan,
     variable,
 )
+from dualnum import fixtures
 from dualnum.core import _chain, _cos, _sin
 from dualnum.reference import central_diff
 
@@ -643,3 +652,64 @@ class TestChainOnFloats:
         for x in (0.0, -0.0, 5e-324, math.pi, -math.pi, 1e300):
             got, want = jet(x), JETS[name](x)
             assert all(same_float(a, b) for a, b in zip(got, want)), x
+
+
+def _solve(method, F, u0, x0):
+    return find_root(RootConfig(u0, method=method), F, variable(x0))
+
+
+def _spline_at(n, x):
+    xs = [0.5 * i for i in range(n)]
+    return eval_dual(build_spline(SplineData(xs, [math.sin(v) for v in xs])),
+                     x)
+
+
+_G, _H = Dual3(0.75, -1.5, 0.25), Dual3(2.0, 0.5, -3.0)
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv}
+_OPERANDS = {"dual": (_G, _H), "number right": (_G, 1.5),
+             "number left": (1.5, _G)}
+_PROBLEMS = {
+    "nr-example1": (fixtures.nr_example1_equation, fixtures.NR_EXAMPLE1_U0,
+                    fixtures.NR_EXAMPLE1_X0),
+    "mechanism": (fixtures.MECHANISM_PARAMS.loop_closure,
+                  fixtures.MECHANISM_PHI0, fixtures.MECHANISM_X0),
+}
+# name -> a call that makes a Dual3 by one public route
+ROUTES = {
+    "Dual3": lambda: Dual3(1, 2.5, -0.0),
+    "variable": lambda: variable(0.3),
+    "constant": lambda: constant(-4),
+    **{f"{name} {side}": (lambda op=op, args=args: op(*args))
+       for name, op in _OPS.items() for side, args in _OPERANDS.items()},
+    "neg": lambda: -_G,
+    "abs": lambda: abs(_G),
+    "pow int": lambda: _G ** 3,
+    "pow negative int": lambda: _G ** -2,
+    "pow zero": lambda: _G ** 0,
+    "pow real": lambda: _G ** 0.5,
+    "pow dual": lambda: _G ** _H,
+    "rpow": lambda: 2.0 ** _G,
+    **{name: (lambda fn=fn: fn(_G)) for name, (fn, _) in ELEMENTAL_FNS.items()},
+    "compose": lambda: compose(_H, _G),
+    **{f"find_root {method} {name}": (lambda method=method, p=p:
+                                      _solve(method, *p))
+       for method in ("newton", "halley") for name, p in _PROBLEMS.items()},
+    "loop_closure": lambda: fixtures.MECHANISM_PARAMS.loop_closure(_H, _G),
+    "nr_example1_equation": lambda: fixtures.nr_example1_equation(_H, _G),
+    "eval_dual floats": lambda: _spline_at(9, variable(1.75)),
+    "eval_dual ndarrays": lambda: _spline_at(120, variable(17.3)),
+    "rk4dual": lambda: rk4dual(duffing_problem(20), sin(variable(1.0))),
+    "copy": lambda: copy.copy(_G),
+    "deepcopy": lambda: copy.deepcopy(_G),
+    "pickle": lambda: pickle.loads(pickle.dumps(_G)),
+}
+
+
+class TestBuildRoute:
+    """``_mk`` fills a ``_Fill``, the slot-only base, and retypes it to
+    ``Dual3``; no route hands out the base."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_every_route_returns_a_dual3(self, route):
+        assert type(ROUTES[route]()) is Dual3

@@ -21,7 +21,7 @@ from dualnum import (
     build_spline,
     duffing_problem,
 )
-from dualnum import fixtures, ode, rootfind, spline
+from dualnum import core, fixtures, ode, rootfind, spline
 
 FIELDS = {
     "RootConfig": ("u0", "method", "max_iters", "tol"),
@@ -121,6 +121,24 @@ def test_records_keep_no_instance_dict(kind):
     # slots only; OdeProblem is still a dataclass, with a __dict__
     record = Dual3(1.0, 2.0, 3.0) if kind == "Dual3" else MAKE[kind]()
     assert not hasattr(record, "__dict__")
+
+
+class TestDual3Layout:
+    """``core._mk`` fills a ``_Fill`` and assigns ``__class__ = Dual3``,
+    which CPython allows only between classes of one layout."""
+
+    def test_the_slots_live_on_fill_alone(self):
+        # a field on one class and not the other would make every _mk
+        # fail with "object layout differs"
+        assert Dual3.__slots__ == ()
+        assert core._Fill.__slots__ == Dual3.__match_args__
+        assert "__setattr__" not in vars(core._Fill)
+
+    def test_a_dual3_cannot_be_retyped(self):
+        d = Dual3(1.0, 2.0, 3.0)
+        with pytest.raises(AttributeError, match="'__class__'"):
+            d.__class__ = core._Fill
+        assert type(d) is Dual3
 
 
 class TestValueEquality:
