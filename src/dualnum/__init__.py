@@ -61,7 +61,10 @@ _LAZY = {name: module for module, names in (
 def __getattr__(name):
     if name in _LAZY:
         from importlib import import_module
-        return getattr(import_module("." + _LAZY[name], __name__), name)
+        value = getattr(import_module("." + _LAZY[name], __name__), name)
+        # kept, so a later read is a plain global and skips this hook
+        globals()[name] = value
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

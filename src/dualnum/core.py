@@ -16,7 +16,9 @@ The whole chain rule lives in one private helper, ``_chain``, on floats:
 
 Every result is built by ``_mk`` around that float triple.  The two
 float kernels, ``MechanismParams.loop_closure`` and
-``fixtures.nr_example1_equation``, write it out for their jets.
+``fixtures.nr_example1_equation``, write it out for their jets.  Each
+is a private ``_Kernel``, whose ``floats(u0, u1, u2, x0, x1, x2)`` must
+return the result's three components, inf or NaN left in for ``_mk``.
 :func:`compose` applies it to a jet given as a :class:`Dual3`, which is
 also how a user-defined elemental is applied; each built-in elemental
 (``sin`` ... ``sqrt`` and ``abs``) is a plain float function returning
@@ -209,6 +211,22 @@ def _mk(r0: float, r1: float, r2: float) -> Dual3:
     d.f2 = r2
     d.__class__ = Dual3
     return d
+
+
+class _Kernel:
+    """A residual ``F(u, x)`` as float code: ``floats`` maps the
+    components of ``u`` and ``x`` to those of ``F(u, x)``, which a call
+    builds by ``_mk``; :func:`~dualnum.rootfind.find_root` calls
+    ``floats`` itself.  ``floats`` may raise ``DomainError`` where the
+    operator form raises before its last operation."""
+
+    __slots__ = ("floats",)
+
+    def __init__(self, floats: "Callable[..., tuple]"):
+        self.floats = floats
+
+    def __call__(self, u: Dual3, x: Dual3) -> Dual3:
+        return _mk(*self.floats(u.f0, u.f1, u.f2, x.f0, x.f1, x.f2))
 
 
 def variable(x: float) -> Dual3:

@@ -2,8 +2,8 @@
 
 Everything the CLI fixture commands need ships here so ``--check`` runs
 without external files.  Reference triples are stored to four decimals;
-checks compare at 1e-4 absolute.  The nr-example1 residual is a float
-kernel with the bits of its operator form,
+checks compare at 1e-4 absolute.  The nr-example1 residual is a
+``core._Kernel`` around float code with the bits of its operator form,
 ``reference.nr_example1_equation``; the mechanism's is
 ``MechanismParams.loop_closure`` (see :mod:`dualnum.rootfind`).
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Dual3, _mk
+from .core import _Kernel
 from .errors import DomainError
 from .rootfind import MechanismParams
 
@@ -23,21 +23,18 @@ NR_EXAMPLE1_U0 = 2.0
 NR_EXAMPLE1_ITERS = 100
 
 
-def nr_example1_equation(u: Dual3, x: Dual3) -> Dual3:
-    """f(u, x) = cos(u x) - u^3 + x + sin(u^2 x).
+def _nr_example1_floats(u0, u1, u2, x0, x1, x2) -> tuple:
+    """f(u, x) = cos(u x) - u^3 + x + sin(u^2 x), on the components.
 
     The operator expression of ``reference.nr_example1_equation``,
     ``cos(u * x) - u ** 3 + x + sin(u * u * x)``, as straight-line float
     code: the ``Dual3`` operators' component formulas in the operators'
     order (``u ** 3`` is ``(u * u) * u``), and ``core._chain``'s formula
-    for the two lifts, so the bits are theirs and one ``Dual3`` is
-    built.  A non-finite argument of ``cos`` or ``sin`` raises
-    ``DomainError`` before libm sees it; any other inf or NaN reaches a
-    final component, where ``_mk`` raises ``DomainError`` as the
-    operators would.
+    for the two lifts, so the bits are theirs.  A non-finite argument of
+    ``cos`` or ``sin`` raises ``DomainError`` before libm sees it; any
+    other inf or NaN reaches a returned component, which
+    ``nr_example1_equation``'s one ``_mk`` traps as the operators would.
     """
-    u0, u1, u2 = u.f0, u.f1, u.f2
-    x0, x1, x2 = x.f0, x.f1, x.f2
     a0 = u0 * x0  # u * x
     a1 = u1 * x0 + u0 * x1
     a2 = u2 * x0 + 2.0 * u1 * x1 + u0 * x2
@@ -58,8 +55,11 @@ def nr_example1_equation(u: Dual3, x: Dual3) -> Dual3:
     r2 = j2 * a1 * a1 + j1 * a2 - (p2 * u0 + 2.0 * p1 * u1 + p0 * u2)
     # + x + sin(b), the jet (sb, cb, -sb) chained through b
     sb, cb = math.sin(b0), math.cos(b0)
-    return _mk(r0 + x0 + sb, r1 + x1 + cb * b1,
-               r2 + x2 + (-sb * b1 * b1 + cb * b2))
+    return (r0 + x0 + sb, r1 + x1 + cb * b1,
+            r2 + x2 + (-sb * b1 * b1 + cb * b2))
+
+
+nr_example1_equation = _Kernel(_nr_example1_floats)
 
 
 NR_EXAMPLE1_EXPECTED = {

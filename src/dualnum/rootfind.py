@@ -17,8 +17,9 @@ once.  Shorter steps are taken in full: at the rounding level of a root
 no step need lower ``|F|``.  Each candidate iterate is evaluated once.
 Where ``2 F_u^2 - F F_uu <= 0`` the Halley step is no descent direction,
 and the Newton step is taken instead.
-Iterates are built by ``core._mk``, so one that overflows to inf, or
-one at which ``F`` fails, raises :class:`~dualnum.errors.DivergenceError`.
+A candidate iterate that overflows to inf or NaN, or one at which ``F``
+fails, raises :class:`~dualnum.errors.DivergenceError`: a plain callable
+``F`` gets each iterate built by ``core._mk``, which is where it raises.
 The derivative components are then settled by exactly two dual passes
 
     u~  <-  u~  -  F~(u~, g) / {F_u, 0, 0}
@@ -35,23 +36,27 @@ mechanism at theta = 1.5, ``tol=1e-4`` gives an ``f2`` 24% off the
 fixed-count value, ``1e-6`` 5.8e-4 and the default ``1e-12`` 3.5e-9.
 ROADMAP item 20 holds the mend.
 
-Both bundled residuals are float kernels: :meth:`MechanismParams.loop_closure`
-(RRRCR) and :func:`dualnum.fixtures.nr_example1_equation`.  Each runs
+Both bundled residuals are float kernels: ``MechanismParams.loop_closure``
+(RRRCR) and :data:`dualnum.fixtures.nr_example1_equation`.  Each runs
 its operator expression as straight-line float code by the ``Dual3``
 operators' own formulas, with ``core._chain``'s formula written out
-for its ``sin``/``cos`` jets, and builds one ``Dual3`` where the operator
-form builds 43 (RRRCR) or 11 (nr-example1).  The operator forms, their
-oracles, are :func:`dualnum.reference.loop_closure` and
+for its ``sin``/``cos`` jets, and a call builds one ``Dual3`` where the
+operator form builds 43 (RRRCR) or 11 (nr-example1).  The operator forms,
+their oracles, are :func:`dualnum.reference.loop_closure` and
 :func:`dualnum.reference.nr_example1_equation`, and the tests hold each
-kernel to its oracle's bits.  The settle passes are a third float
-kernel, held to their operator form's bits and errors the same way.
+kernel to its oracle's bits.  Each is a ``core._Kernel``, whose float
+code :func:`find_root` runs on its iterates and settle passes: it builds
+the root alone, where a plain callable costs two ``Dual3`` per iterate,
+and hands a non-finite candidate, residual or pass to ``_mk``, so both
+routes raise alike.  The settle passes are a third float kernel, held
+to their operator form's bits and errors the same way.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import Dual3, _mk
+from .core import Dual3, _Kernel, _mk
 from .errors import (
     DivergenceError,
     DomainError,
@@ -113,26 +118,37 @@ def find_root(cfg: RootConfig, F: "Callable[[Dual3, Dual3], Dual3]",
     """Solve ``F(u, g.f0) = 0`` by ``cfg.method``; derivatives from ``g``."""
     newton = cfg.method == "newton"
     max_iters, tol = cfg.max_iters, cfg.tol
-    x_const = _mk(g.f0, 0.0, 0.0)
     u = cfg.u0
+
+    # A _Kernel is run on floats: each evaluation is checked where its
+    # Dual3 route builds, and a non-finite triple is passed to _mk, which
+    # raises as that route would.  Any other F gets Dual3 arguments.
+    if type(F) is _Kernel:
+        floats, x0 = F.floats, g.f0
+        r0, r1, r2 = floats(u, 1.0, 0.0, x0, 0.0, 0.0)
+        if 0.0 * r0 * r1 * r2 != 0.0:
+            _mk(r0, r1, r2)  # raises
+    else:
+        floats, x_const = None, _mk(g.f0, 0.0, 0.0)
+        fd = F(_mk(u, 1.0, 0.0), x_const)
+        r0, r1, r2 = fd.f0, fd.f1, fd.f2
 
     # One kept evaluation per iterate (for a damped step, the trial it
     # accepted): the last one serves the tolerance test and gives the
     # settle phase its slope.
-    fd = F(_mk(u, 1.0, 0.0), x_const)
     try:
         for k in range(max_iters):
-            resid = fd.f0
+            resid = r0
             if tol > 0.0 and abs(resid) <= tol:
                 break
-            fu = fd.f1
+            fu = r1
             if fu == 0.0:
                 raise SingularDerivativeError(
                     f"dF/du vanished at iterate {k} (u={u})"
                 )
             step = resid / fu
             if not newton:
-                denom = 2.0 * fu * fu - resid * fd.f2
+                denom = 2.0 * fu * fu - resid * r2
                 if denom > 0.0:  # else Halley's step is no descent direction
                     step = 2.0 * resid * fu / denom
             # max(1, |u|) inline: the builtin call costs more than the test
@@ -141,8 +157,16 @@ def find_root(cfg: RootConfig, F: "Callable[[Dual3, Dual3], Dual3]",
             # u - step, u - step/2, ... that lowers |F|.
             for _ in range(_MAX_HALVINGS + 1 if damped else 1):
                 u_next = u - step
-                fd = F(_mk(u_next, 1.0, 0.0), x_const)
-                if not damped or abs(fd.f0) < abs(resid):
+                if floats is None:
+                    fd = F(_mk(u_next, 1.0, 0.0), x_const)
+                    r0, r1, r2 = fd.f0, fd.f1, fd.f2
+                else:
+                    if 0.0 * u_next != 0.0:
+                        _mk(u_next, 1.0, 0.0)  # raises
+                    r0, r1, r2 = floats(u_next, 1.0, 0.0, x0, 0.0, 0.0)
+                    if 0.0 * r0 * r1 * r2 != 0.0:
+                        _mk(r0, r1, r2)  # raises
+                if not damped or abs(r0) < abs(resid):
                     break
                 step *= 0.5
             else:
@@ -159,7 +183,7 @@ def find_root(cfg: RootConfig, F: "Callable[[Dual3, Dual3], Dual3]",
             f"iterate {k + 1} failed (u={u_next}): {exc}",
             iterations=k + 1,
         ) from exc
-    resid = fd.f0
+    resid = r0
     if tol > 0.0 and abs(resid) > tol:
         raise NonConvergenceError(
             f"|F| = {abs(resid):.3e} > tol = {tol:.3e} "
@@ -175,17 +199,26 @@ def find_root(cfg: RootConfig, F: "Callable[[Dual3, Dual3], Dual3]",
     # ud's f1 and f2 start +0.0 and never hold -0.0 (x - y is -0.0 only
     # where x is), and x - z is x for other x.  A quotient is non-finite
     # exactly where the operator form's is; r / slope then raises as it.
-    slope = fd.f1
+    # ud is (v0, v1, v2), checked where the operator form builds it.
+    slope = r1
     if slope == 0.0:
         raise SingularDerivativeError(f"dF/du vanished at the root u={u}")
-    ud = _mk(u, 0.0, 0.0)
+    v0, v1, v2 = u, 0.0, 0.0
     for _ in range(_SETTLE_PASSES):
-        r = F(ud, g)
-        q0, q1, q2 = r.f0 / slope, r.f1 / slope, r.f2 / slope
+        if floats is None:
+            r = F(_mk(v0, v1, v2), g)
+            r0, r1, r2 = r.f0, r.f1, r.f2
+        else:
+            r0, r1, r2 = floats(v0, v1, v2, g.f0, g.f1, g.f2)
+            if 0.0 * r0 * r1 * r2 != 0.0:
+                _mk(r0, r1, r2)  # raises
+        q0, q1, q2 = r0 / slope, r1 / slope, r2 / slope
         if 0.0 * q0 * q1 * q2 != 0.0:
-            r / slope  # raises
-        ud = _mk(ud.f0 - q0, ud.f1 - q1, ud.f2 - q2)
-    return ud
+            _mk(r0, r1, r2) / slope  # raises
+        v0, v1, v2 = v0 - q0, v1 - q1, v2 - q2
+        if 0.0 * v0 * v1 * v2 != 0.0:
+            _mk(v0, v1, v2)  # raises
+    return _mk(v0, v1, v2)
 
 
 # -- RRRCR spatial mechanism --------------------------------------------
@@ -200,9 +233,10 @@ class MechanismParams(_Record):
     """
 
     __match_args__ = ("L", "l", "a", "R", "s1", "s2", "b", "e", "c1", "c2")
-    # _k holds the residual's 18 constant factors.  __init__ makes them,
-    # so a copy or pickle makes them again; they are no field.
-    __slots__ = __match_args__ + ("_k",)
+    # _k holds the residual's 18 constant factors and loop_closure the
+    # residual, a _Kernel around _loop_closure_floats.  __init__ makes
+    # both, so a copy or pickle makes them again; they are no field.
+    __slots__ = __match_args__ + ("_k", "loop_closure")
 
     def __init__(self, L: float, l: float, a: float, R: float, s1: float,
                  s2: float, b: float, e: float, c1: float | None = None,
@@ -244,9 +278,13 @@ class MechanismParams(_Record):
             2.0 * c1 * R * R * s1 * s2,
             R * R,
         ))
+        # loop_closure(phi, theta): the loop-closure residual, whose zero
+        # relates output angle phi to input theta; one Dual3 a call
+        object.__setattr__(self, "loop_closure",
+                           _Kernel(self._loop_closure_floats))
 
-    def loop_closure(self, phi: Dual3, theta: Dual3) -> Dual3:
-        """Loop-closure residual; zero relates output angle phi to input theta.
+    def _loop_closure_floats(self, p0, p1, p2, t0, t1, t2) -> tuple:
+        """Loop-closure residual on the components of phi and theta.
 
         The operator expression of ``reference.loop_closure``, a
         polynomial in the sines and cosines of the two angles, as
@@ -254,20 +292,17 @@ class MechanismParams(_Record):
         formulas in the operators' order, less the zero terms the
         comment below proves idle, so the bits are theirs.  The four
         ``sin``/``cos`` jets are ``core._chain``'s formula written out,
-        on one ``math.sin`` and one ``math.cos`` per angle, and one
-        ``Dual3`` is built.
+        on one ``math.sin`` and one ``math.cos`` per angle.
         A real part is finite, so ``math.sin``/``math.cos`` cannot
         raise, and only ``+ - *`` follow: an inf or NaN on the way
-        reaches a final component, where the one ``_mk`` raises
-        ``DomainError`` as the operators would.
+        reaches a returned component, which ``loop_closure``'s one
+        ``_mk`` traps as the operators would.
         """
         # kN is term N's constant factor; k0 is terms 1 and 2, a number
         (k0, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16,
          k17, k18, k19) = self._k
         # sin's jet (s, c, -s) and cos's (c, -s, -c) chained through each
         # angle by core._chain's formula, its operands in its order
-        t0, t1, t2 = theta.f0, theta.f1, theta.f2
-        p0, p1, p2 = phi.f0, phi.f1, phi.f2
         s, c = math.sin(t0), math.cos(t0)
         st0, st1, st2 = s, c * t1, -s * t1 * t1 + c * t2
         ct0, ct1, ct2 = c, -s * t1, -c * t1 * t1 + -s * t2
@@ -343,4 +378,4 @@ class MechanismParams(_Record):
         r0 += q0 * cp0
         r1 += q1 * cp0 + q0 * cp1
         r2 += q2 * cp0 + 2.0 * q1 * cp1 + q0 * cp2
-        return _mk(r0, r1, r2)
+        return r0, r1, r2

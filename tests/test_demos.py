@@ -112,6 +112,20 @@ def test_spline_names_load_on_first_use():
     assert out == "False True\n"
 
 
+def test_lazy_name_is_kept_after_first_use():
+    # the first read stores the value in the package's globals, so later
+    # reads are plain attribute reads that skip __getattr__
+    out = fresh_python(
+        "import sys, dualnum\n"
+        "before = 'eval_dual' in vars(dualnum)\n"
+        "loaded = sorted({'numpy', 'dualnum.spline'} & set(sys.modules))\n"
+        "dualnum.eval_dual\n"
+        "import dualnum.spline\n"
+        "print(before, loaded,\n"
+        "      vars(dualnum).get('eval_dual') is dualnum.spline.eval_dual)")
+    assert out == "False [] True\n"
+
+
 def write_bump_csv(path, rows):
     """``rows`` evenly spaced samples of a bump over [1, 3] peaking at
     2.1, so both spline subcommands' defaults lie in range."""

@@ -21,6 +21,7 @@ from dualnum import (
     variable,
 )
 from dualnum import fixtures
+from dualnum.core import _Kernel
 from dualnum.reference import central_diff
 from dualnum.rootfind import _MAX_HALVINGS
 
@@ -91,7 +92,10 @@ class TestConfig:
                       variable(1.5))
         assert u.f0 == 1.5
 
-    @pytest.mark.parametrize("equation", ALL_EQUATIONS)
+    # a _Kernel has no __name__ for pytest to take an id from
+    @pytest.mark.parametrize("equation", ALL_EQUATIONS, ids=[
+        "identity_eq", "cube_eq", "sine_eq", "stiff_mixed_eq",
+        "nr_example1_equation"])
     def test_equations_map_constants_to_constants(self, equation):
         out = equation(constant(1.3), constant(0.9))
         assert out.f1 == 0.0 and out.f2 == 0.0
@@ -723,3 +727,160 @@ class TestDampedSteps:
         with pytest.raises(SingularDerivativeError, match="iterate 1"):
             find_root(cfg(1.0, tol=0.0), counted, variable(1.0))
         assert seen == [1.0, -1.0, 0.0]
+
+
+def route_outcome(c, F, g):
+    """``find_root(c, F, g)`` as bits, or the class raised with its
+    message and payload."""
+    try:
+        d = find_root(c, F, g)
+    except ArithmeticError as exc:
+        return (type(exc), str(exc), vars(exc).get("iterations"),
+                repr(vars(exc).get("residual")))
+    return tuple(v.hex() for v in (d.f0, d.f1, d.f2))
+
+
+def dual3_route(K):
+    """``K`` behind a plain callable, which ``find_root`` calls on Dual3s."""
+    return lambda u, x: K(u, x)
+
+
+def square_floats(u0, u1, u2, x0, x1, x2):
+    # u * u - x by the Dual3 operators' formulas
+    return (u0 * u0 - x0, u1 * u0 + u0 * u1 - x1,
+            u2 * u0 + 2.0 * u1 * u1 + u0 * u2 - x2)
+
+
+def spoiled_kernel(n, bad):
+    """A ``_Kernel`` for u^2 - x whose call ``n`` and every later call
+    returns ``bad``, and the list of its calls.  Each route gets its
+    own, so both count from 0."""
+    calls = []
+
+    def floats(*components):
+        calls.append(components)
+        return bad if len(calls) > n else square_floats(*components)
+    return _Kernel(floats), calls
+
+
+# two preset configs: the default and the CLI's fixed count
+_CONFIGS = {"default": {}, "fixed-count": dict(tol=0.0, max_iters=100)}
+
+
+class TestKernelRoute:
+    """``find_root`` runs a ``_Kernel``'s float code itself, and any other
+    callable on Dual3s: both routes give the same bits, the same raise and
+    the same message."""
+
+    @pytest.mark.parametrize("config", _CONFIGS)
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    def test_mechanism_grid(self, method, config):
+        K = fixtures.MECHANISM_PARAMS.loop_closure
+        c = cfg(fixtures.MECHANISM_PHI0, method=method, **_CONFIGS[config])
+        raised = 0
+        for k in range(0, 4096, 32):
+            theta = variable(2.0 * math.pi * k / 4096)
+            for g in (theta, 2.0 * sin(theta) * sin(theta)):
+                got = route_outcome(c, K, g)
+                assert got == route_outcome(c, dual3_route(K), g), (k, g)
+                raised += len(got) == 4
+        # the angles where the mechanism cannot assemble
+        assert raised > 0
+
+    @pytest.mark.parametrize("config", _CONFIGS)
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    def test_nr_example1_grid_and_far_x(self, method, config):
+        K = fixtures.nr_example1_equation
+        c = cfg(fixtures.NR_EXAMPLE1_U0, method=method, **_CONFIGS[config])
+        # every 15th timed x and the far-x probe, each as itself and as
+        # sin x + x^2; then x as itself out to where u^2 x overflows in
+        # the first residual
+        gs = []
+        for k in [*range(0, 1501, 15), *range(1525, 4001, 25)]:
+            xd = variable(0.1 + 2.0 * k / 4000)
+            gs += [xd, sin(xd) + xd * xd]
+        gs += [variable(x) for x in (1e154, -1e300, 1e308)]
+        raised = set()
+        for g in gs:
+            got = route_outcome(c, K, g)
+            assert got == route_outcome(c, dual3_route(K), g), g
+            if len(got) == 4:
+                raised.add(got[0])
+        assert {DomainError, NonConvergenceError} <= raised
+
+    @pytest.mark.parametrize("config", _CONFIGS)
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    @pytest.mark.parametrize("bad,kinds", [
+        ((math.inf, 1.0, 0.0), {DomainError, DivergenceError}),
+        ((0.0, math.nan, 0.0), {DomainError, DivergenceError}),
+        ((0.5, 1.0, -math.inf), {DomainError, DivergenceError}),
+        # an iterate's F = 0 ends the real loop; from the first settle
+        # pass on, f1 = 1.5e308 twice overflows the second pass's u~
+        ((0.0, -1.5e308, 0.0), {DomainError}),
+    ], ids=["inf-f0", "nan-f1", "inf-f2", "huge-f1"])
+    def test_non_finite_residual_at_each_call(self, method, config, bad,
+                                              kinds):
+        # the spoiled call is the first residual, an iterate or a settle
+        # pass: the first raises DomainError unwrapped, an iterate's
+        # DivergenceError, a settle pass's DomainError
+        c = cfg(1.3, method=method, **_CONFIGS[config])
+        g = variable(0.5)
+        clean, calls = spoiled_kernel(math.inf, bad)
+        find_root(c, clean, g)
+        raised = set()
+        for n in range(len(calls)):
+            got = route_outcome(c, spoiled_kernel(n, bad)[0], g)
+            assert got == route_outcome(
+                c, dual3_route(spoiled_kernel(n, bad)[0]), g), n
+            if len(got) == 4:
+                raised.add(got[0])
+        assert raised == kinds
+
+    @pytest.mark.parametrize("method,floats,message", [
+        # F / F_u overflows, so the candidate is -inf
+        ("newton", lambda u0, u1, u2, x0, x1, x2: (1e300, 1e-300 * u1, 0.0),
+         "non-finite component in Dual3(-inf, 1.0, 0.0)"),
+        ("halley", lambda u0, u1, u2, x0, x1, x2: (1e300, 1e-300 * u1, 0.0),
+         "non-finite component in Dual3(-inf, 1.0, 0.0)"),
+        # Halley's 2 F F_u and its denominator both overflow: a NaN step
+        ("halley", lambda u0, u1, u2, x0, x1, x2: (1e200, 1e200 * u1, 0.0),
+         "NaN component in Dual3(nan, 1.0, 0.0)"),
+    ], ids=["newton-inf", "halley-inf", "halley-nan"])
+    def test_overflowing_step(self, method, floats, message):
+        K = _Kernel(floats)
+        c = cfg(1.0, method=method)
+        got = route_outcome(c, K, variable(0.5))
+        assert got == route_outcome(c, dual3_route(K), variable(0.5))
+        assert got[0] is DivergenceError
+        assert got[1].endswith(message)
+
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    @pytest.mark.parametrize("name", ["mechanism", "nr-example1"])
+    def test_a_solve_builds_one_dual3(self, monkeypatch, method, name):
+        # the iterates and settle passes run on floats; only the root is
+        # built, by rootfind's _mk, and no Dual3 operator runs
+        import dualnum.core
+        import dualnum.rootfind
+
+        F, u0, x0 = {
+            "mechanism": (fixtures.MECHANISM_PARAMS.loop_closure,
+                          fixtures.MECHANISM_PHI0, fixtures.MECHANISM_X0),
+            "nr-example1": (fixtures.nr_example1_equation,
+                            fixtures.NR_EXAMPLE1_U0, fixtures.NR_EXAMPLE1_X0),
+        }[name]
+        g = variable(x0)
+        calls = {"core": 0, "rootfind": 0}
+
+        def counted(module, key):
+            mk = module._mk
+
+            def wrapper(*components):
+                calls[key] += 1
+                return mk(*components)
+            monkeypatch.setattr(module, "_mk", wrapper)
+
+        counted(dualnum.core, "core")
+        counted(dualnum.rootfind, "rootfind")
+        root = find_root(cfg(u0, method=method), F, g)
+        assert type(root) is Dual3
+        assert calls == {"core": 0, "rootfind": 1}
